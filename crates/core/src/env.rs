@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use parking_lot::Mutex;
 
 use nvc_datasets::Kernel;
-use nvc_embed::{extract_path_contexts, EmbedConfig, PathSample};
+use nvc_embed::{EmbedConfig, PathSample};
 use nvc_frontend::parse_statement;
 use nvc_ir::LoweredLoop;
 use nvc_machine::TargetConfig;
@@ -69,10 +69,7 @@ impl VectorizeEnv {
             };
             for lowered in loops {
                 let sample = match parse_statement(&lowered.nest_text) {
-                    Ok(stmt) => PathSample::from_contexts(
-                        &extract_path_contexts(&stmt, embed_cfg.max_paths),
-                        embed_cfg,
-                    ),
+                    Ok(stmt) => PathSample::from_stmt(&stmt, embed_cfg),
                     Err(_) => continue,
                 };
                 let baseline = vectorizer.compile_baseline(&lowered.ir);

@@ -4,10 +4,22 @@
 //! carries a normalized terminal token. A *path context* is a pair of
 //! terminals plus the up-then-down sequence of interior node labels
 //! connecting them.
+//!
+//! One tree builder serves both products of this module. The tree borrows
+//! its terminals from the statement (identifiers become occurrence-ordered
+//! `VARn` placeholders, literals their magnitude bucket), and one walk
+//! visits exactly the leaf pairs a sample keeps, computing each pair's
+//! position in the all-pairs order instead of listing every pair.
+//! [`extract_path_contexts`] renders the kept paths as strings;
+//! [`crate::PathSample::from_stmt`] feeds the same bytes straight into
+//! [`Fnv1a`] and so never allocates a token or path string.
 
 use nvc_frontend::ast::{Expr, ExprKind, Stmt, StmtKind};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+
+use crate::model::EmbedConfig;
+use crate::vocab::{Fnv1a, PathSample};
 
 /// One leaf-to-leaf path context: `(start terminal, path string, end
 /// terminal)`.
@@ -21,100 +33,221 @@ pub struct PathContext {
     pub end: String,
 }
 
+/// Where rendered terminals and paths go: a `String`, or a hasher.
+trait Sink {
+    fn put(&mut self, s: &str);
+}
+
+impl Sink for String {
+    fn put(&mut self, s: &str) {
+        self.push_str(s);
+    }
+}
+
+impl Sink for Fnv1a {
+    fn put(&mut self, s: &str) {
+        self.write(s.as_bytes());
+    }
+}
+
+/// A leaf's normalized token, borrowed from the statement or a label table.
+#[derive(Debug, Clone, Copy)]
+enum Terminal<'a> {
+    Text(&'a str),
+    /// The `n`-th distinct variable of the statement, rendered `VAR{n}`.
+    Var(usize),
+}
+
+impl Terminal<'_> {
+    fn write_to(self, out: &mut impl Sink) {
+        match self {
+            Terminal::Text(s) => out.put(s),
+            Terminal::Var(n) => {
+                out.put("VAR");
+                let mut digits = [0u8; 20];
+                let mut at = digits.len();
+                let mut rest = n;
+                loop {
+                    at -= 1;
+                    digits[at] = b'0' + (rest % 10) as u8;
+                    rest /= 10;
+                    if rest == 0 {
+                        break;
+                    }
+                }
+                out.put(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+            }
+        }
+    }
+
+    fn render(self) -> String {
+        let mut s = String::new();
+        self.write_to(&mut s);
+        s
+    }
+}
+
 /// Internal flattened AST node.
 #[derive(Debug)]
 struct TreeNode {
     label: &'static str,
-    token: Option<String>,
-    children: Vec<usize>,
     parent: Option<usize>,
     depth: usize,
 }
 
+/// The labelled tree of one statement, with its leaves in source order.
 #[derive(Debug, Default)]
-struct TreeBuilder {
+struct PathTree<'a> {
     nodes: Vec<TreeNode>,
-    /// Leaf indices in source order.
-    leaves: Vec<usize>,
-    /// Occurrence-ordered variable renaming.
-    var_names: HashMap<String, String>,
+    /// `(node, terminal)` of every leaf, in source order.
+    leaves: Vec<(usize, Terminal<'a>)>,
+    /// Occurrence-ordered variable numbering.
+    var_names: HashMap<&'a str, usize>,
 }
 
-impl TreeBuilder {
-    fn add(&mut self, label: &'static str, token: Option<String>, parent: Option<usize>) -> usize {
+impl<'a> PathTree<'a> {
+    fn build(stmt: &'a Stmt) -> Self {
+        let mut tree = PathTree::default();
+        build_stmt(&mut tree, stmt, None);
+        tree
+    }
+
+    fn add(&mut self, label: &'static str, parent: Option<usize>) -> usize {
         let depth = parent.map_or(0, |p| self.nodes[p].depth + 1);
         self.nodes.push(TreeNode {
             label,
-            token,
-            children: Vec::new(),
             parent,
             depth,
         });
-        let id = self.nodes.len() - 1;
-        if let Some(p) = parent {
-            self.nodes[p].children.push(id);
+        self.nodes.len() - 1
+    }
+
+    fn leaf(&mut self, label: &'static str, token: Terminal<'a>, parent: usize) {
+        let id = self.add(label, Some(parent));
+        self.leaves.push((id, token));
+    }
+
+    fn var(&mut self, name: &'a str) -> Terminal<'a> {
+        let next = self.var_names.len();
+        Terminal::Var(*self.var_names.entry(name).or_insert(next))
+    }
+
+    /// Visits the leaf pairs a sample of at most `max_paths` keeps, in
+    /// order. All pairs `(i, j)`, `i < j`, are numbered row by row; when
+    /// there are more than `max_paths`, pair `⌊k · stride⌋` is kept for
+    /// each `k`, so the selection spreads over the whole loop body rather
+    /// than concentrating at its start.
+    fn for_each_sampled_pair(&self, max_paths: usize, mut visit: impl FnMut(usize, usize)) {
+        let n = self.leaves.len();
+        let total = n * n.saturating_sub(1) / 2;
+        if total <= max_paths {
+            for i in 0..n {
+                for j in (i + 1)..n {
+                    visit(i, j);
+                }
+            }
+            return;
         }
-        id
+        let stride = total as f64 / max_paths as f64;
+        // Row `i` holds pairs `row_start .. row_start + (n - 1 - i)`.
+        let (mut i, mut row_start) = (0, 0);
+        for k in 0..max_paths {
+            let pair = (k as f64 * stride) as usize;
+            while pair >= row_start + (n - 1 - i) {
+                row_start += n - 1 - i;
+                i += 1;
+            }
+            visit(i, i + 1 + (pair - row_start));
+        }
     }
 
-    fn leaf(&mut self, label: &'static str, token: String, parent: usize) {
-        let id = self.add(label, Some(token), Some(parent));
-        self.leaves.push(id);
+    /// Writes the path between two leaves: up to the lowest common
+    /// ancestor, then down. `down` is scratch space.
+    fn write_path(
+        &self,
+        from: usize,
+        to: usize,
+        down: &mut Vec<&'static str>,
+        out: &mut impl Sink,
+    ) {
+        // Walk both up to equal depth, then in lockstep to the LCA.
+        let nodes = &self.nodes;
+        let mut ua = nodes[self.leaves[from].0].parent;
+        let mut ub = nodes[self.leaves[to].0].parent;
+        down.clear();
+        while let (Some(a), Some(b)) = (ua, ub) {
+            if a == b {
+                break;
+            }
+            if nodes[a].depth >= nodes[b].depth {
+                out.put(nodes[a].label);
+                out.put("^");
+                ua = nodes[a].parent;
+            } else {
+                down.push(nodes[b].label);
+                ub = nodes[b].parent;
+            }
+        }
+        out.put(match ua {
+            Some(a) => nodes[a].label,
+            None => "Root",
+        });
+        for label in down.iter().rev() {
+            out.put("v");
+            out.put(label);
+        }
     }
+}
 
-    fn rename(&mut self, name: &str) -> String {
-        let next = format!("VAR{}", self.var_names.len());
-        self.var_names
-            .entry(name.to_string())
-            .or_insert(next)
-            .clone()
+/// The magnitude bucket of an integer literal.
+fn literal_bucket(v: i64) -> &'static str {
+    match v {
+        0 => "LIT0",
+        1 => "LIT1",
+        2 => "LIT2",
+        v if v > 2 && (v as u64).is_power_of_two() => "LITPOW2",
+        v if (3..=64).contains(&v) => "LITSMALL",
+        v if v < 0 => "LITNEG",
+        _ => "LITBIG",
     }
 }
 
 /// Buckets numeric literals so magnitudes, not exact values, shape the
 /// embedding.
 pub fn normalize_terminals(v: i64) -> String {
-    match v {
-        0 => "LIT0".into(),
-        1 => "LIT1".into(),
-        2 => "LIT2".into(),
-        v if v > 2 && (v as u64).is_power_of_two() => "LITPOW2".into(),
-        v if (3..=64).contains(&v) => "LITSMALL".into(),
-        v if v < 0 => "LITNEG".into(),
-        _ => "LITBIG".into(),
-    }
+    literal_bucket(v).to_string()
 }
 
-fn build_expr(b: &mut TreeBuilder, e: &Expr, parent: usize) {
+fn build_expr<'a>(b: &mut PathTree<'a>, e: &'a Expr, parent: usize) {
     match &e.kind {
-        ExprKind::IntLit(v) => b.leaf("IntLit", normalize_terminals(*v), parent),
-        ExprKind::FloatLit(_) => b.leaf("FloatLit", "FLIT".into(), parent),
+        ExprKind::IntLit(v) => b.leaf("IntLit", Terminal::Text(literal_bucket(*v)), parent),
+        ExprKind::FloatLit(_) => b.leaf("FloatLit", Terminal::Text("FLIT"), parent),
         ExprKind::Ident(name) => {
-            let n = b.rename(name);
+            let n = b.var(name);
             b.leaf("Ident", n, parent);
         }
         ExprKind::Index { base, index } => {
-            let id = b.add("Index", None, Some(parent));
+            let id = b.add("Index", Some(parent));
             build_expr(b, base, id);
             build_expr(b, index, id);
         }
         ExprKind::Call { callee, args } => {
-            let id = b.add("Call", None, Some(parent));
+            let id = b.add("Call", Some(parent));
             // Callee names are semantic (sqrtf vs foo); keep them verbatim.
-            b.leaf("Callee", callee.clone(), id);
+            b.leaf("Callee", Terminal::Text(callee), id);
             for a in args {
                 build_expr(b, a, id);
             }
         }
         ExprKind::Unary { op, operand } => {
-            let id = b.add("Unary", None, Some(parent));
-            b.leaf("UnOp", op.symbol().to_string(), id);
+            let id = b.add("Unary", Some(parent));
+            b.leaf("UnOp", Terminal::Text(op.symbol()), id);
             build_expr(b, operand, id);
         }
         ExprKind::Binary { op, lhs, rhs } => {
-            let id = b.add("Binary", None, Some(parent));
+            let id = b.add("Binary", Some(parent));
             build_expr(b, lhs, id);
-            b.leaf("BinOp", op.symbol().to_string(), id);
+            b.leaf("BinOp", Terminal::Text(op.symbol()), id);
             build_expr(b, rhs, id);
         }
         ExprKind::Ternary {
@@ -122,14 +255,14 @@ fn build_expr(b: &mut TreeBuilder, e: &Expr, parent: usize) {
             then_expr,
             else_expr,
         } => {
-            let id = b.add("Ternary", None, Some(parent));
+            let id = b.add("Ternary", Some(parent));
             build_expr(b, cond, id);
             build_expr(b, then_expr, id);
             build_expr(b, else_expr, id);
         }
         ExprKind::Cast { ty, operand } => {
-            let id = b.add("Cast", None, Some(parent));
-            b.leaf("Type", ty.c_name().to_string(), id);
+            let id = b.add("Cast", Some(parent));
+            b.leaf("Type", Terminal::Text(ty.c_name()), id);
             build_expr(b, operand, id);
         }
         ExprKind::Assign { op, target, value } => {
@@ -138,35 +271,36 @@ fn build_expr(b: &mut TreeBuilder, e: &Expr, parent: usize) {
             } else {
                 "Assign"
             };
-            let id = b.add(label, None, Some(parent));
+            let id = b.add(label, Some(parent));
             build_expr(b, target, id);
             if let Some(op) = op {
-                b.leaf("BinOp", op.symbol().to_string(), id);
+                b.leaf("BinOp", Terminal::Text(op.symbol()), id);
             }
             build_expr(b, value, id);
         }
         ExprKind::IncDec { target, delta, .. } => {
-            let id = b.add("IncDec", None, Some(parent));
+            let id = b.add("IncDec", Some(parent));
             build_expr(b, target, id);
-            b.leaf("BinOp", if *delta > 0 { "++" } else { "--" }.into(), id);
+            let op = if *delta > 0 { "++" } else { "--" };
+            b.leaf("BinOp", Terminal::Text(op), id);
         }
     }
 }
 
-fn build_stmt(b: &mut TreeBuilder, s: &Stmt, parent: Option<usize>) -> usize {
+fn build_stmt<'a>(b: &mut PathTree<'a>, s: &'a Stmt, parent: Option<usize>) -> usize {
     match &s.kind {
         StmtKind::Block(stmts) => {
-            let id = b.add("Block", None, parent);
+            let id = b.add("Block", parent);
             for st in stmts {
                 build_stmt(b, st, Some(id));
             }
             id
         }
         StmtKind::Decl { ty, declarators } => {
-            let id = b.add("Decl", None, parent);
-            b.leaf("Type", ty.c_name().to_string(), id);
+            let id = b.add("Decl", parent);
+            b.leaf("Type", Terminal::Text(ty.c_name()), id);
             for d in declarators {
-                let n = b.rename(&d.name);
+                let n = b.var(&d.name);
                 b.leaf("Ident", n, id);
                 if let Some(init) = &d.init {
                     build_expr(b, init, id);
@@ -175,7 +309,7 @@ fn build_stmt(b: &mut TreeBuilder, s: &Stmt, parent: Option<usize>) -> usize {
             id
         }
         StmtKind::Expr(e) => {
-            let id = b.add("ExprStmt", None, parent);
+            let id = b.add("ExprStmt", parent);
             build_expr(b, e, id);
             id
         }
@@ -186,24 +320,24 @@ fn build_stmt(b: &mut TreeBuilder, s: &Stmt, parent: Option<usize>) -> usize {
             body,
             ..
         } => {
-            let id = b.add("For", None, parent);
+            let id = b.add("For", parent);
             if let Some(i) = init {
                 build_stmt(b, i, Some(id));
             }
             if let Some(c) = cond {
-                let cid = b.add("ForCond", None, Some(id));
+                let cid = b.add("ForCond", Some(id));
                 build_expr(b, c, cid);
             }
             if let Some(st) = step {
-                let sid = b.add("ForStep", None, Some(id));
+                let sid = b.add("ForStep", Some(id));
                 build_expr(b, st, sid);
             }
             build_stmt(b, body, Some(id));
             id
         }
         StmtKind::While { cond, body, .. } => {
-            let id = b.add("While", None, parent);
-            let cid = b.add("WhileCond", None, Some(id));
+            let id = b.add("While", parent);
+            let cid = b.add("WhileCond", Some(id));
             build_expr(b, cond, cid);
             build_stmt(b, body, Some(id));
             id
@@ -213,8 +347,8 @@ fn build_stmt(b: &mut TreeBuilder, s: &Stmt, parent: Option<usize>) -> usize {
             then_branch,
             else_branch,
         } => {
-            let id = b.add("If", None, parent);
-            let cid = b.add("IfCond", None, Some(id));
+            let id = b.add("If", parent);
+            let cid = b.add("IfCond", Some(id));
             build_expr(b, cond, cid);
             build_stmt(b, then_branch, Some(id));
             if let Some(e) = else_branch {
@@ -223,94 +357,68 @@ fn build_stmt(b: &mut TreeBuilder, s: &Stmt, parent: Option<usize>) -> usize {
             id
         }
         StmtKind::Return(e) => {
-            let id = b.add("Return", None, parent);
+            let id = b.add("Return", parent);
             if let Some(e) = e {
                 build_expr(b, e, id);
             }
             id
         }
-        StmtKind::Break => b.add("Break", None, parent),
-        StmtKind::Continue => b.add("Continue", None, parent),
-        StmtKind::Empty => b.add("Empty", None, parent),
+        StmtKind::Break => b.add("Break", parent),
+        StmtKind::Continue => b.add("Continue", parent),
+        StmtKind::Empty => b.add("Empty", parent),
     }
-}
-
-/// Renders the path between two leaves: up to the lowest common ancestor,
-/// then down.
-fn render_path(b: &TreeBuilder, from: usize, to: usize) -> String {
-    // Walk both up to equal depth, then in lockstep to the LCA.
-    let mut ua = b.nodes[from].parent;
-    let mut ub = b.nodes[to].parent;
-    let mut up = Vec::new();
-    let mut down = Vec::new();
-    while let (Some(a), Some(bb)) = (ua, ub) {
-        if a == bb {
-            break;
-        }
-        if b.nodes[a].depth >= b.nodes[bb].depth {
-            up.push(b.nodes[a].label);
-            ua = b.nodes[a].parent;
-        } else {
-            down.push(b.nodes[bb].label);
-            ub = b.nodes[bb].parent;
-        }
-    }
-    let lca = match (ua, ub) {
-        (Some(a), _) => b.nodes[a].label,
-        _ => "Root",
-    };
-    let mut s = String::new();
-    for l in &up {
-        s.push_str(l);
-        s.push('^');
-    }
-    s.push_str(lca);
-    for l in down.iter().rev() {
-        s.push('v');
-        s.push_str(l);
-    }
-    s
 }
 
 /// Extracts up to `max_paths` path contexts from a loop statement.
 ///
-/// All leaf pairs are enumerated in a deterministic order; when there are
-/// more than `max_paths`, pairs are subsampled with a deterministic stride
-/// so the selection spreads over the whole loop body rather than
-/// concentrating at its start.
+/// All leaf pairs are ordered deterministically; when there are more than
+/// `max_paths`, pairs are subsampled with a deterministic stride so the
+/// selection spreads over the whole loop body rather than concentrating
+/// at its start.
 pub fn extract_path_contexts(stmt: &Stmt, max_paths: usize) -> Vec<PathContext> {
-    let mut b = TreeBuilder::default();
-    build_stmt(&mut b, stmt, None);
+    let tree = PathTree::build(stmt);
+    let mut down = Vec::new();
+    let mut out = Vec::new();
+    tree.for_each_sampled_pair(max_paths, |i, j| {
+        let mut path = String::new();
+        tree.write_path(i, j, &mut down, &mut path);
+        out.push(PathContext {
+            start: tree.leaves[i].1.render(),
+            path,
+            end: tree.leaves[j].1.render(),
+        });
+    });
+    out
+}
 
-    let n = b.leaves.len();
-    let mut pairs: Vec<(usize, usize)> = Vec::new();
-    for i in 0..n {
-        for j in (i + 1)..n {
-            // Bound path length like code2vec (max length 8 + width 2 in
-            // the original); very long paths carry little signal.
-            pairs.push((i, j));
-        }
-    }
-    let selected: Vec<(usize, usize)> = if pairs.len() <= max_paths {
-        pairs
-    } else {
-        let stride = pairs.len() as f64 / max_paths as f64;
-        (0..max_paths)
-            .map(|k| pairs[(k as f64 * stride) as usize])
-            .collect()
-    };
-
-    selected
-        .into_iter()
-        .map(|(i, j)| {
-            let (li, lj) = (b.leaves[i], b.leaves[j]);
-            PathContext {
-                start: b.nodes[li].token.clone().unwrap_or_default(),
-                path: render_path(&b, li, lj),
-                end: b.nodes[lj].token.clone().unwrap_or_default(),
-            }
+/// The [`PathSample`] of `stmt`: what hashing
+/// `extract_path_contexts(stmt, cfg.max_paths)` gives, hashed in place.
+pub(crate) fn sample_stmt(stmt: &Stmt, cfg: &EmbedConfig) -> PathSample {
+    let tree = PathTree::build(stmt);
+    let (t, p) = (cfg.token_buckets as u64, cfg.path_buckets as u64);
+    let token_rows: Vec<usize> = tree
+        .leaves
+        .iter()
+        .map(|(_, token)| {
+            let mut h = Fnv1a::new();
+            token.write_to(&mut h);
+            (h.finish() % t) as usize
         })
-        .collect()
+        .collect();
+    let mut sample = PathSample {
+        starts: Vec::new(),
+        paths: Vec::new(),
+        ends: Vec::new(),
+    };
+    let mut down = Vec::new();
+    tree.for_each_sampled_pair(cfg.max_paths, |i, j| {
+        let mut h = Fnv1a::new();
+        tree.write_path(i, j, &mut down, &mut h);
+        sample.starts.push(token_rows[i]);
+        sample.paths.push((h.finish() % p) as usize);
+        sample.ends.push(token_rows[j]);
+    });
+    sample
 }
 
 #[cfg(test)]

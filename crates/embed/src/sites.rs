@@ -3,15 +3,26 @@
 //!
 //! Both inference products — the one-shot
 //! `NeuroVectorizer::vectorize_source` and the `nvc-serve` daemon — need
-//! the identical pipeline (extract innermost loops, re-parse each nest
-//! text, hash its path contexts) so that their decisions, and the serving
-//! layer's cache keys, agree exactly. This module is that single
-//! implementation.
+//! the identical pipeline (extract innermost loops, embed the text of each
+//! loop's outermost enclosing loop, hash its path contexts) so that their
+//! decisions, and the serving layer's cache keys, agree exactly. This
+//! module is that single implementation.
+//!
+//! The sample of a loop is defined as that of its nest *text* re-parsed on
+//! its own, `parse_statement(nest_text)`. The file is parsed once and each
+//! nest's sample is hashed straight from the file's tree, which is the
+//! same tree the re-parse would build, with two exceptions where the text
+//! is parsed again instead:
+//!
+//! * the nest expands an object macro — the file's tree holds the
+//!   expansion (`255`), the text the name (`MAX`);
+//! * the nest's span stops short of its last token, which only a trailing
+//!   value-less `return;` does (its span ends before the `;`) — the text
+//!   then fails to re-parse and the loop is skipped, as before.
 
-use nvc_frontend::{extract_loops, parse_statement, parse_translation_unit, FrontendError};
+use nvc_frontend::{parse_file, parse_statement, walk_loops, FrontendError, ParsedFile, Stmt};
 
 use crate::model::EmbedConfig;
-use crate::paths::extract_path_contexts;
 use crate::vocab::PathSample;
 
 /// One decidable innermost loop of a source file.
@@ -38,22 +49,34 @@ pub fn extract_loop_samples(
     source: &str,
     cfg: &EmbedConfig,
 ) -> Result<Vec<LoopSite>, FrontendError> {
-    let tu = parse_translation_unit(source)?;
-    Ok(extract_loops(&tu, source)
+    let file = parse_file(source)?;
+    Ok(walk_loops(&file.tu)
         .into_iter()
         .filter(|l| l.is_innermost)
         .filter_map(|l| {
-            let stmt = parse_statement(&l.nest_text).ok()?;
             Some(LoopSite {
-                function: l.function,
-                header_line: l.header_line,
-                sample: PathSample::from_contexts(
-                    &extract_path_contexts(&stmt, cfg.max_paths),
-                    cfg,
-                ),
+                function: l.function.name.clone(),
+                header_line: l.stmt.span.line,
+                sample: nest_sample(&file, l.nest, source, cfg)?,
             })
         })
         .collect())
+}
+
+/// The sample `parse_statement(nest_text)` would give, or `None` when the
+/// text does not re-parse.
+fn nest_sample(
+    file: &ParsedFile,
+    nest: &Stmt,
+    source: &str,
+    cfg: &EmbedConfig,
+) -> Option<PathSample> {
+    let text = nest.span.text(source);
+    if file.expands_macro_in(nest.span) || !text.ends_with([';', '}']) {
+        let stmt = parse_statement(text).ok()?;
+        return Some(PathSample::from_stmt(&stmt, cfg));
+    }
+    Some(PathSample::from_stmt(nest, cfg))
 }
 
 #[cfg(test)]

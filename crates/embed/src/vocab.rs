@@ -6,6 +6,7 @@
 //! any loop — including ones never seen during training — maps to valid
 //! table rows.
 
+use nvc_frontend::Stmt;
 use serde::{Deserialize, Serialize};
 
 use crate::model::EmbedConfig;
@@ -80,6 +81,13 @@ impl PathSample {
                 .map(|c| (hash_token(&c.end) % t) as usize)
                 .collect(),
         }
+    }
+
+    /// The sample of a loop statement: equal to
+    /// `from_contexts(&extract_path_contexts(stmt, cfg.max_paths), cfg)`,
+    /// but hashed in place without rendering a token or path string.
+    pub fn from_stmt(stmt: &Stmt, cfg: &EmbedConfig) -> Self {
+        crate::paths::sample_stmt(stmt, cfg)
     }
 
     /// Number of path contexts in the sample.

@@ -48,87 +48,100 @@ impl ExtractedLoop {
     }
 }
 
+/// One loop of a translation unit, borrowed from its tree.
+#[derive(Debug, Clone, Copy)]
+pub struct LoopRef<'a> {
+    /// The enclosing function.
+    pub function: &'a Function,
+    /// The loop statement.
+    pub stmt: &'a Stmt,
+    /// The outermost loop of the nest containing `stmt` (`stmt` itself for
+    /// a loop no other loop encloses).
+    pub nest: &'a Stmt,
+    /// Nesting depth: 0 for a top-level loop in the function.
+    pub depth: usize,
+    /// True when no other loop is nested inside this one.
+    pub is_innermost: bool,
+}
+
+/// Every loop of `tu` in source order (a loop before the loops inside it),
+/// found in one walk over the tree.
+pub fn walk_loops(tu: &TranslationUnit) -> Vec<LoopRef<'_>> {
+    let mut out = Vec::new();
+    for f in tu.functions() {
+        walk_stmt(&f.body, f, 0, None, &mut out);
+    }
+    out
+}
+
 /// Extracts every loop from `tu`, in source order.
 ///
 /// `source` must be the exact text `tu` was parsed from; it is used to slice
 /// loop snippets.
 pub fn extract_loops(tu: &TranslationUnit, source: &str) -> Vec<ExtractedLoop> {
-    let mut out = Vec::new();
-    for f in tu.functions() {
-        extract_from_stmt(&f.body, f, source, 0, None, &mut out);
-    }
-    for (i, l) in out.iter_mut().enumerate() {
-        l.loop_index = i;
-    }
-    out
+    walk_loops(tu)
+        .into_iter()
+        .enumerate()
+        .map(|(loop_index, l)| ExtractedLoop {
+            function: l.function.name.clone(),
+            loop_index,
+            depth: l.depth,
+            is_innermost: l.is_innermost,
+            span: l.stmt.span,
+            nest_span: l.nest.span,
+            header_line: l.stmt.span.line,
+            text: l.stmt.span.text(source).to_string(),
+            nest_text: l.nest.span.text(source).to_string(),
+            pragma: match &l.stmt.kind {
+                StmtKind::For { pragma, .. } | StmtKind::While { pragma, .. } => *pragma,
+                _ => None,
+            },
+        })
+        .collect()
 }
 
-/// Extracts loops from a single function.
-pub fn extract_loops_in_function(f: &Function, source: &str) -> Vec<ExtractedLoop> {
-    let mut out = Vec::new();
-    extract_from_stmt(&f.body, f, source, 0, None, &mut out);
-    for (i, l) in out.iter_mut().enumerate() {
-        l.loop_index = i;
-    }
-    out
-}
-
-fn extract_from_stmt(
-    stmt: &Stmt,
-    f: &Function,
-    source: &str,
+/// Appends the loops under `stmt` to `out`; returns whether there were any.
+fn walk_stmt<'a>(
+    stmt: &'a Stmt,
+    function: &'a Function,
     depth: usize,
-    nest_root: Option<Span>,
-    out: &mut Vec<ExtractedLoop>,
-) {
+    nest: Option<&'a Stmt>,
+    out: &mut Vec<LoopRef<'a>>,
+) -> bool {
     match &stmt.kind {
-        StmtKind::For { body, pragma, .. } | StmtKind::While { body, pragma, .. } => {
-            let root = nest_root.unwrap_or(stmt.span);
-            let mut has_inner = false;
-            body.walk(&mut |s| {
-                if !std::ptr::eq(s, body.as_ref()) && s.is_loop() {
-                    has_inner = true;
-                }
-            });
-            // `walk` visits the body itself; a loop body that *is* a loop
-            // statement still counts as an inner loop, handled above because
-            // `body` is never equal to a nested `for` except when the body is
-            // directly a loop. Re-check precisely:
-            if body.is_loop() {
-                has_inner = true;
-            }
-            out.push(ExtractedLoop {
-                function: f.name.clone(),
-                loop_index: 0,
+        StmtKind::For { body, .. } | StmtKind::While { body, .. } => {
+            let nest = nest.unwrap_or(stmt);
+            let at = out.len();
+            out.push(LoopRef {
+                function,
+                stmt,
+                nest,
                 depth,
-                is_innermost: !has_inner,
-                span: stmt.span,
-                nest_span: root,
-                header_line: stmt.span.line,
-                text: stmt.span.text(source).to_string(),
-                nest_text: root.text(source).to_string(),
-                pragma: *pragma,
+                is_innermost: true,
             });
-            extract_from_stmt(body, f, source, depth + 1, Some(root), out);
+            out[at].is_innermost = !walk_stmt(body, function, depth + 1, Some(nest), out);
+            true
         }
         StmtKind::If {
             then_branch,
             else_branch,
             ..
         } => {
-            // Loops under conditionals start a fresh nest for extraction
-            // purposes only if we are not already inside a loop.
-            extract_from_stmt(then_branch, f, source, depth, nest_root, out);
-            if let Some(e) = else_branch {
-                extract_from_stmt(e, f, source, depth, nest_root, out);
-            }
+            // A loop under a conditional joins the enclosing nest, if any.
+            let then_loops = walk_stmt(then_branch, function, depth, nest, out);
+            let else_loops = else_branch
+                .as_ref()
+                .is_some_and(|e| walk_stmt(e, function, depth, nest, out));
+            then_loops || else_loops
         }
         StmtKind::Block(stmts) => {
+            let mut any = false;
             for s in stmts {
-                extract_from_stmt(s, f, source, depth, nest_root, out);
+                any |= walk_stmt(s, function, depth, nest, out);
             }
+            any
         }
-        _ => {}
+        _ => false,
     }
 }
 

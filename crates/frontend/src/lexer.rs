@@ -143,12 +143,37 @@ pub struct Token {
     pub span: Span,
 }
 
-/// Multi-character punctuation, longest first so maximal munch works.
-const PUNCTS: &[&str] = &[
-    "<<=", ">>=", "...", "<<", ">>", "<=", ">=", "==", "!=", "&&", "||", "+=", "-=", "*=", "/=",
-    "%=", "&=", "|=", "^=", "++", "--", "->", "+", "-", "*", "/", "%", "<", ">", "=", "!", "&",
-    "|", "^", "~", "?", ":", ";", ",", ".", "(", ")", "[", "]", "{", "}",
-];
+/// The punctuation that can start with byte `c`, longest first so that
+/// maximal munch takes the first match.
+fn puncts_starting_with(c: u8) -> &'static [&'static str] {
+    match c {
+        b'<' => &["<<=", "<<", "<=", "<"],
+        b'>' => &[">>=", ">>", ">=", ">"],
+        b'.' => &["...", "."],
+        b'=' => &["==", "="],
+        b'!' => &["!=", "!"],
+        b'&' => &["&&", "&=", "&"],
+        b'|' => &["||", "|=", "|"],
+        b'+' => &["+=", "++", "+"],
+        b'-' => &["-=", "--", "->", "-"],
+        b'*' => &["*=", "*"],
+        b'/' => &["/=", "/"],
+        b'%' => &["%=", "%"],
+        b'^' => &["^=", "^"],
+        b'~' => &["~"],
+        b'?' => &["?"],
+        b':' => &[":"],
+        b';' => &[";"],
+        b',' => &[","],
+        b'(' => &["("],
+        b')' => &[")"],
+        b'[' => &["["],
+        b']' => &["]"],
+        b'{' => &["{"],
+        b'}' => &["}"],
+        _ => &[],
+    }
+}
 
 /// Streaming tokenizer over a source string.
 ///
@@ -161,6 +186,10 @@ pub struct Lexer<'src> {
     line: u32,
     col: u32,
     macros: HashMap<String, Vec<Token>>,
+    /// Byte offsets of the identifiers that expanded a macro.
+    macro_uses: Vec<usize>,
+    /// How many `#define` bodies enclose this lexer.
+    define_nesting: usize,
 }
 
 impl<'src> Lexer<'src> {
@@ -173,6 +202,8 @@ impl<'src> Lexer<'src> {
             line: 1,
             col: 1,
             macros: HashMap::new(),
+            macro_uses: Vec::new(),
+            define_nesting: 0,
         }
     }
 
@@ -182,7 +213,15 @@ impl<'src> Lexer<'src> {
     ///
     /// Returns a [`FrontendError`] on malformed literals, unknown characters,
     /// or malformed preprocessor lines.
-    pub fn tokenize(mut self) -> Result<Vec<Token>, FrontendError> {
+    pub fn tokenize(self) -> Result<Vec<Token>, FrontendError> {
+        self.tokenize_recording_macros().map(|(tokens, _)| tokens)
+    }
+
+    /// Tokenizes like [`Lexer::tokenize`], also returning the ascending byte
+    /// offsets at which a macro name was expanded.
+    pub(crate) fn tokenize_recording_macros(
+        mut self,
+    ) -> Result<(Vec<Token>, Vec<usize>), FrontendError> {
         let mut out = Vec::new();
         loop {
             self.skip_trivia()?;
@@ -207,14 +246,15 @@ impl<'src> Lexer<'src> {
                         kind: TokenKind::Attribute(inner),
                         span: Span::new(start, self.pos, start_line, start_col),
                     });
-                } else if let Some(expansion) = self.macros.get(&ident) {
+                } else if let Some(expansion) = self.macro_body(ident, start) {
                     // One-level object-macro expansion; spans point at the use site.
-                    for t in expansion.clone() {
-                        out.push(Token { kind: t.kind, span });
-                    }
+                    out.extend(expansion.iter().map(|t| Token {
+                        kind: t.kind.clone(),
+                        span,
+                    }));
                 } else {
                     out.push(Token {
-                        kind: TokenKind::Ident(ident),
+                        kind: TokenKind::Ident(ident.to_string()),
                         span,
                     });
                 }
@@ -252,7 +292,7 @@ impl<'src> Lexer<'src> {
             kind: TokenKind::Eof,
             span: Span::new(self.pos, self.pos, self.line, self.col),
         });
-        Ok(out)
+        Ok((out, self.macro_uses))
     }
 
     fn advance(&mut self) {
@@ -304,14 +344,31 @@ impl<'src> Lexer<'src> {
         }
     }
 
-    fn lex_ident(&mut self) -> String {
-        let start = self.pos;
-        while self.pos < self.bytes.len()
-            && (self.bytes[self.pos].is_ascii_alphanumeric() || self.bytes[self.pos] == b'_')
-        {
-            self.advance();
+    /// The expansion of `ident`, used at byte `at`; looked up only once a
+    /// `#define` was seen.
+    fn macro_body(&mut self, ident: &str, at: usize) -> Option<&[Token]> {
+        if self.macros.is_empty() {
+            return None;
         }
-        self.src[start..self.pos].to_string()
+        let body = self.macros.get(ident)?;
+        self.macro_uses.push(at);
+        Some(body)
+    }
+
+    /// Advances over `n` bytes known to hold no newline.
+    fn advance_in_line(&mut self, n: usize) {
+        self.pos += n;
+        self.col += n as u32;
+    }
+
+    fn lex_ident(&mut self) -> &'src str {
+        let start = self.pos;
+        let len = self.bytes[start..]
+            .iter()
+            .take_while(|b| b.is_ascii_alphanumeric() || **b == b'_')
+            .count();
+        self.advance_in_line(len);
+        &self.src[start..self.pos]
     }
 
     fn lex_number(&mut self, line: u32, col: u32) -> Result<Token, FrontendError> {
@@ -474,24 +531,23 @@ impl<'src> Lexer<'src> {
     }
 
     fn lex_punct(&mut self) -> Option<&'static str> {
-        for p in PUNCTS {
-            if self.src[self.pos..].starts_with(p) {
-                for _ in 0..p.len() {
-                    self.advance();
-                }
-                return Some(p);
-            }
-        }
-        None
+        let rest = &self.bytes[self.pos..];
+        let p = *puncts_starting_with(rest[0])
+            .iter()
+            .find(|p| rest.starts_with(p.as_bytes()))?;
+        self.advance_in_line(p.len());
+        Some(p)
     }
 
     /// Consumes text through the rest of the current line, returning it.
-    fn take_rest_of_line(&mut self) -> String {
+    fn take_rest_of_line(&mut self) -> &'src str {
         let start = self.pos;
-        while self.pos < self.bytes.len() && self.bytes[self.pos] != b'\n' {
-            self.advance();
-        }
-        self.src[start..self.pos].to_string()
+        let len = self.bytes[start..]
+            .iter()
+            .take_while(|b| **b != b'\n')
+            .count();
+        self.advance_in_line(len);
+        &self.src[start..self.pos]
     }
 
     fn lex_directive(&mut self, out: &mut Vec<Token>) -> Result<(), FrontendError> {
@@ -504,7 +560,7 @@ impl<'src> Lexer<'src> {
             self.advance();
         }
         let name = self.lex_ident();
-        match name.as_str() {
+        match name {
             "define" => {
                 while matches!(self.bytes.get(self.pos), Some(b' ') | Some(b'\t')) {
                     self.advance();
@@ -513,13 +569,18 @@ impl<'src> Lexer<'src> {
                 if macro_name.is_empty() {
                     return Err(FrontendError::new("#define requires a name", line, col));
                 }
+                if self.define_nesting == crate::MAX_NESTING {
+                    return Err(FrontendError::too_deep(line, col));
+                }
                 let body = self.take_rest_of_line();
-                let body_tokens = Lexer::new(body.trim())
+                let mut body_lexer = Lexer::new(body.trim());
+                body_lexer.define_nesting = self.define_nesting + 1;
+                let body_tokens = body_lexer
                     .tokenize()?
                     .into_iter()
                     .filter(|t| t.kind != TokenKind::Eof)
                     .collect::<Vec<_>>();
-                self.macros.insert(macro_name, body_tokens);
+                self.macros.insert(macro_name.to_string(), body_tokens);
                 Ok(())
             }
             "pragma" => {
@@ -752,6 +813,71 @@ mod tests {
         let m = s1.merge(s2);
         assert_eq!((m.start, m.end), (0, 7));
         assert_eq!(m.text("abc def"), "abc def");
+    }
+
+    /// Every string over the punctuation alphabet of up to three bytes
+    /// lexes as the longest-first scan over the full operator table did.
+    #[test]
+    fn first_byte_punct_dispatch_matches_longest_first_scan() {
+        const TABLE: &[&str] = &[
+            "<<=", ">>=", "...", "<<", ">>", "<=", ">=", "==", "!=", "&&", "||", "+=", "-=", "*=",
+            "/=", "%=", "&=", "|=", "^=", "++", "--", "->", "+", "-", "*", "/", "%", "<", ">", "=",
+            "!", "&", "|", "^", "~", "?", ":", ";", ",", ".", "(", ")", "[", "]", "{", "}",
+        ];
+        let alphabet: Vec<u8> = b"<>=!&|+-*/%^~?:;,.()[]{}".to_vec();
+        let scan = |mut s: &str| {
+            let mut out = Vec::new();
+            while let Some(p) = TABLE.iter().find(|p| s.starts_with(**p)) {
+                out.push(TokenKind::Punct(p));
+                s = &s[p.len()..];
+            }
+            assert!(s.is_empty());
+            out
+        };
+        let mut inputs: Vec<Vec<u8>> = vec![Vec::new()];
+        for _ in 0..3 {
+            inputs = inputs
+                .iter()
+                .flat_map(|p| {
+                    alphabet.iter().map(move |c| {
+                        let mut q = p.clone();
+                        q.push(*c);
+                        q
+                    })
+                })
+                .collect();
+            for input in &inputs {
+                let text = std::str::from_utf8(input).unwrap();
+                // `//` and `/*` open comments, which the scan does not model.
+                if text.contains("//") || text.contains("/*") {
+                    continue;
+                }
+                let mut got = kinds(text);
+                assert_eq!(got.pop(), Some(TokenKind::Eof));
+                assert_eq!(got, scan(text), "input {text:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn macro_uses_are_recorded_at_the_use_site() {
+        let src = "#define N 4\n#define EMPTY\nint a[N]; EMPTY x N";
+        let (_, uses) = Lexer::new(src).tokenize_recording_macros().unwrap();
+        let at = |needle: &str, from: usize| from + src[from..].find(needle).unwrap();
+        let first_n = at("N]", 0);
+        assert_eq!(uses, vec![first_n, at("EMPTY x", 0), at("N", first_n + 1)]);
+        let (_, none) = Lexer::new("int a[4]; N")
+            .tokenize_recording_macros()
+            .unwrap();
+        assert!(none.is_empty());
+    }
+
+    #[test]
+    fn nested_define_bodies_are_bounded() {
+        let src = "#define A ".repeat(crate::MAX_NESTING + 1);
+        let err = Lexer::new(&src).tokenize().unwrap_err();
+        assert_eq!(err.kind(), crate::ErrorKind::TooDeep);
+        assert!(Lexer::new(&"#define A ".repeat(4)).tokenize().is_ok());
     }
 
     #[test]

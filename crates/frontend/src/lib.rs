@@ -53,11 +53,28 @@ pub use ast::{
     BinaryOp, Expr, ExprKind, Function, GlobalVar, Item, LoopPragma, Stmt, StmtKind,
     TranslationUnit, Type, UnaryOp,
 };
-pub use extract::{extract_loops, ExtractedLoop};
+pub use extract::{extract_loops, walk_loops, ExtractedLoop, LoopRef};
 pub use lexer::{Lexer, Span, Token, TokenKind};
 pub use parser::Parser;
 pub use pragma::{inject_pragma, inject_pragmas, strip_pragmas};
 pub use printer::print_translation_unit;
+
+/// How many syntactic levels (statements, expressions, operator chains)
+/// may nest inside each other before parsing stops with
+/// [`ErrorKind::TooDeep`]. The parser's recursion and the depth of the
+/// tree it builds stay within a small multiple of it, so neither parsing
+/// nor a later recursive pass over the tree (path contexts, lowering,
+/// printing, dropping) can exhaust a thread's stack.
+pub const MAX_NESTING: usize = 100;
+
+/// What kind of failure a [`FrontendError`] reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ErrorKind {
+    /// The text is not in the supported C subset.
+    Syntax,
+    /// The text nests deeper than [`MAX_NESTING`].
+    TooDeep,
+}
 
 /// Any error produced while lexing or parsing source text.
 ///
@@ -65,6 +82,7 @@ pub use printer::print_translation_unit;
 /// information pointing at the offending token.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FrontendError {
+    kind: ErrorKind,
     message: String,
     line: u32,
     col: u32,
@@ -73,10 +91,25 @@ pub struct FrontendError {
 impl FrontendError {
     pub(crate) fn new(message: impl Into<String>, line: u32, col: u32) -> Self {
         Self {
+            kind: ErrorKind::Syntax,
             message: message.into(),
             line,
             col,
         }
+    }
+
+    pub(crate) fn too_deep(line: u32, col: u32) -> Self {
+        Self {
+            kind: ErrorKind::TooDeep,
+            message: format!("nesting deeper than {MAX_NESTING} levels"),
+            line,
+            col,
+        }
+    }
+
+    /// Whether the text is malformed or merely nested too deeply.
+    pub fn kind(&self) -> ErrorKind {
+        self.kind
     }
 
     /// 1-based source line of the error.
@@ -114,8 +147,40 @@ impl Error for FrontendError {}
 /// Returns a [`FrontendError`] when the source does not conform to the
 /// supported C subset.
 pub fn parse_translation_unit(source: &str) -> Result<TranslationUnit, FrontendError> {
-    let tokens = Lexer::new(source).tokenize()?;
-    Parser::new(tokens).parse_translation_unit()
+    parse_file(source).map(|file| file.tu)
+}
+
+/// A parsed source file plus the places where it used object macros.
+///
+/// The tree holds macro *expansions* while the text holds macro *names*,
+/// so a snippet of the text re-parses to the same tree exactly when no
+/// macro was expanded inside it ([`ParsedFile::expands_macro_in`]).
+#[derive(Debug, Clone)]
+pub struct ParsedFile {
+    /// The parsed translation unit.
+    pub tu: TranslationUnit,
+    /// Byte offsets of every macro use, ascending.
+    macro_uses: Vec<usize>,
+}
+
+impl ParsedFile {
+    /// True when an object macro was expanded inside `span`.
+    pub fn expands_macro_in(&self, span: Span) -> bool {
+        let first = self.macro_uses.partition_point(|&at| at < span.start);
+        self.macro_uses.get(first).is_some_and(|&at| at < span.end)
+    }
+}
+
+/// Parses a complete source file like [`parse_translation_unit`], also
+/// recording where macros were expanded.
+///
+/// # Errors
+///
+/// As [`parse_translation_unit`].
+pub fn parse_file(source: &str) -> Result<ParsedFile, FrontendError> {
+    let (tokens, macro_uses) = Lexer::new(source).tokenize_recording_macros()?;
+    let tu = Parser::new(tokens).parse_translation_unit()?;
+    Ok(ParsedFile { tu, macro_uses })
 }
 
 /// Parses a single statement (typically a loop) from source text.
@@ -140,6 +205,31 @@ mod tests {
         assert_eq!(err.to_string(), "3:7: unexpected token");
         assert_eq!(err.line(), 3);
         assert_eq!(err.col(), 7);
+    }
+
+    #[test]
+    fn parsed_file_locates_macro_expansions() {
+        let src = "#define N 8\nint a[N];\nvoid f() { for (int i = 0; i < N; i++) { a[i] = 0; } }";
+        let file = parse_file(src).unwrap();
+        let f = file.tu.functions().next().unwrap();
+        let StmtKind::Block(body) = &f.body.kind else {
+            unreachable!()
+        };
+        let nest = body[0].span;
+        assert!(file.expands_macro_in(nest));
+        let use_at = src.rfind('N').unwrap();
+        assert!(file.expands_macro_in(Span::new(use_at, use_at + 1, 3, 1)));
+        assert!(!file.expands_macro_in(Span::new(use_at + 1, src.len(), 3, 1)));
+        // The definition is not a use; `int a[N]` is.
+        let decl = src.find("int a").unwrap();
+        assert!(!file.expands_macro_in(Span::new(0, decl, 1, 1)));
+        assert!(file.expands_macro_in(Span::new(decl, decl + 9, 2, 1)));
+        let plain = parse_file("void f() { for (;;) { } }").unwrap();
+        assert!(!plain.expands_macro_in(Span::new(0, 100, 1, 1)));
+        assert_eq!(
+            plain.tu,
+            parse_translation_unit("void f() { for (;;) { } }").unwrap()
+        );
     }
 
     #[test]

@@ -11,19 +11,25 @@ use crate::ast::{
     StmtKind, TranslationUnit, Type, UnaryOp,
 };
 use crate::lexer::{Span, Token, TokenKind};
-use crate::FrontendError;
+use crate::{FrontendError, MAX_NESTING};
 
 /// Parser over a token stream produced by [`crate::Lexer`].
 #[derive(Debug)]
 pub struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Syntactic levels open at the cursor, bounded by [`MAX_NESTING`].
+    depth: usize,
 }
 
 impl Parser {
     /// Creates a parser over `tokens` (must end with [`TokenKind::Eof`]).
     pub fn new(tokens: Vec<Token>) -> Self {
-        Self { tokens, pos: 0 }
+        Self {
+            tokens,
+            pos: 0,
+            depth: 0,
+        }
     }
 
     /// Parses the whole token stream as a translation unit.
@@ -35,8 +41,7 @@ impl Parser {
     pub fn parse_translation_unit(mut self) -> Result<TranslationUnit, FrontendError> {
         let mut tu = TranslationUnit::new();
         while !self.at_eof() {
-            let item = self.parse_item()?;
-            tu.items.push(item);
+            self.parse_item(&mut tu.items)?;
         }
         Ok(tu)
     }
@@ -67,12 +72,48 @@ impl Parser {
         matches!(self.peek().kind, TokenKind::Eof)
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)].clone();
+    /// Consumes the token at the cursor, returning its span.
+    fn bump(&mut self) -> Span {
+        let span = self.peek().span;
         if self.pos < self.tokens.len() - 1 {
             self.pos += 1;
         }
-        t
+        span
+    }
+
+    /// Consumes the token at the cursor, moving an identifier's name out of
+    /// the stream: the cursor never moves back over a parsed primary.
+    fn take(&mut self) -> Token {
+        let at = self.pos.min(self.tokens.len() - 1);
+        let tok = &mut self.tokens[at];
+        let kind = match &mut tok.kind {
+            TokenKind::Ident(name) => TokenKind::Ident(std::mem::take(name)),
+            other => other.clone(),
+        };
+        let span = self.bump();
+        Token { kind, span }
+    }
+
+    /// Opens one syntactic level; errors past [`MAX_NESTING`]. A failed
+    /// parse is never resumed, so levels are closed only on success.
+    fn descend(&mut self) -> Result<(), FrontendError> {
+        if self.depth == MAX_NESTING {
+            let at = self.peek().span;
+            return Err(FrontendError::too_deep(at.line, at.col));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Runs `parse` one syntactic level deeper.
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, FrontendError>,
+    ) -> Result<T, FrontendError> {
+        self.descend()?;
+        let out = parse(self)?;
+        self.depth -= 1;
+        Ok(out)
     }
 
     fn error_here(&self, msg: impl Into<String>) -> FrontendError {
@@ -95,7 +136,7 @@ impl Parser {
 
     fn expect_punct(&mut self, p: &str) -> Result<Span, FrontendError> {
         if matches!(&self.peek().kind, TokenKind::Punct(q) if *q == p) {
-            Ok(self.bump().span)
+            Ok(self.bump())
         } else {
             Err(self.error_here(format!("expected `{p}`")))
         }
@@ -114,7 +155,7 @@ impl Parser {
         match &self.peek().kind {
             TokenKind::Ident(s) => {
                 let s = s.clone();
-                let span = self.bump().span;
+                let span = self.bump();
                 Ok((s, span))
             }
             _ => Err(self.error_here("expected identifier")),
@@ -215,7 +256,9 @@ impl Parser {
     // Items
     // ------------------------------------------------------------------
 
-    fn parse_item(&mut self) -> Result<Item, FrontendError> {
+    /// Parses one file-scope definition or declaration into `items`: a
+    /// function, or one [`GlobalVar`] per declarator of `T a[N], b[M];`.
+    fn parse_item(&mut self, items: &mut Vec<Item>) -> Result<(), FrontendError> {
         let mut attrs = self.eat_attributes();
         if self.eat_ident("static") || self.eat_ident("extern") || self.eat_ident("inline") {
             // Storage classes carry no semantics for us.
@@ -223,27 +266,43 @@ impl Parser {
         let start_span = self.peek().span;
         let ty = self.parse_type()?;
         attrs.extend(self.eat_attributes());
+        let name = self.expect_global_name()?;
+        attrs.extend(self.eat_attributes());
+
+        if matches!(self.peek().kind, TokenKind::Punct("(")) {
+            let f = self.parse_function_rest(ty, name, attrs, start_span)?;
+            items.push(Item::Function(f));
+            return Ok(());
+        }
+        let first = items.len();
+        items.push(Item::Global(self.parse_global_declarator(ty, name)?));
+        while self.eat_punct(",") {
+            let name = self.expect_global_name()?;
+            items.push(Item::Global(self.parse_global_declarator(ty, name)?));
+        }
+        let span = start_span.merge(self.expect_punct(";")?);
+        for item in &mut items[first..] {
+            if let Item::Global(g) = item {
+                g.span = span;
+            }
+        }
+        Ok(())
+    }
+
+    fn expect_global_name(&mut self) -> Result<String, FrontendError> {
         // Pointer return types are not in the subset; reject early.
         if matches!(self.peek().kind, TokenKind::Punct("*")) {
             return Err(self.error_here("pointer-typed globals/returns are not supported"));
         }
-        let (name, _) = self.expect_ident()?;
-        attrs.extend(self.eat_attributes());
-
-        if matches!(self.peek().kind, TokenKind::Punct("(")) {
-            self.parse_function_rest(ty, name, attrs, start_span)
-                .map(Item::Function)
-        } else {
-            self.parse_global_rest(ty, name, start_span)
-                .map(Item::Global)
-        }
+        Ok(self.expect_ident()?.0)
     }
 
-    fn parse_global_rest(
+    /// Parses the dimensions, attributes and initializer after a global's
+    /// name. The span is set by the caller to the whole declaration.
+    fn parse_global_declarator(
         &mut self,
         ty: Type,
         name: String,
-        start_span: Span,
     ) -> Result<GlobalVar, FrontendError> {
         let mut dims = Vec::new();
         while self.eat_punct("[") {
@@ -271,14 +330,13 @@ impl Parser {
         } else {
             None
         };
-        let end_span = self.expect_punct(";")?;
         Ok(GlobalVar {
             ty,
             name,
             dims,
             alignment,
             init,
-            span: start_span.merge(end_span),
+            span: Span::synthetic(),
         })
     }
 
@@ -286,12 +344,13 @@ impl Parser {
         self.expect_punct("{")?;
         let mut depth = 1;
         while depth > 0 {
-            match &self.bump().kind {
+            match self.peek().kind {
                 TokenKind::Punct("{") => depth += 1,
                 TokenKind::Punct("}") => depth -= 1,
                 TokenKind::Eof => return Err(self.error_here("unterminated initializer")),
                 _ => {}
             }
+            self.bump();
         }
         Ok(())
     }
@@ -357,7 +416,7 @@ impl Parser {
         let mut stmts = Vec::new();
         loop {
             if matches!(self.peek().kind, TokenKind::Punct("}")) {
-                let close = self.bump().span;
+                let close = self.bump();
                 return Ok(Stmt::new(StmtKind::Block(stmts), open.merge(close)));
             }
             if self.at_eof() {
@@ -368,13 +427,17 @@ impl Parser {
     }
 
     fn parse_stmt(&mut self) -> Result<Stmt, FrontendError> {
+        self.nested(Self::parse_stmt_unbounded)
+    }
+
+    fn parse_stmt_unbounded(&mut self) -> Result<Stmt, FrontendError> {
         // A pragma binds to the next loop statement.
         if let TokenKind::PragmaClangLoop {
             vectorize_width,
             interleave_count,
         } = self.peek().kind
         {
-            let pspan = self.bump().span;
+            let pspan = self.bump();
             let mut stmt = self.parse_stmt()?;
             match &mut stmt.kind {
                 StmtKind::For { pragma, .. } | StmtKind::While { pragma, .. } => {
@@ -399,11 +462,10 @@ impl Parser {
             }
         }
 
-        let tok = self.peek().clone();
-        match &tok.kind {
+        match &self.peek().kind {
             TokenKind::Punct("{") => self.parse_block(),
             TokenKind::Punct(";") => {
-                let span = self.bump().span;
+                let span = self.bump();
                 Ok(Stmt::new(StmtKind::Empty, span))
             }
             TokenKind::Ident(kw) => match kw.as_str() {
@@ -411,7 +473,7 @@ impl Parser {
                 "while" => self.parse_while(),
                 "if" => self.parse_if(),
                 "return" => {
-                    let start = self.bump().span;
+                    let start = self.bump();
                     if self.eat_punct(";") {
                         return Ok(Stmt::new(StmtKind::Return(None), start));
                     }
@@ -420,12 +482,12 @@ impl Parser {
                     Ok(Stmt::new(StmtKind::Return(Some(e)), start.merge(end)))
                 }
                 "break" => {
-                    let start = self.bump().span;
+                    let start = self.bump();
                     let end = self.expect_punct(";")?;
                     Ok(Stmt::new(StmtKind::Break, start.merge(end)))
                 }
                 "continue" => {
-                    let start = self.bump().span;
+                    let start = self.bump();
                     let end = self.expect_punct(";")?;
                     Ok(Stmt::new(StmtKind::Continue, start.merge(end)))
                 }
@@ -477,7 +539,7 @@ impl Parser {
     }
 
     fn parse_for(&mut self) -> Result<Stmt, FrontendError> {
-        let start = self.bump().span; // `for`
+        let start = self.bump(); // `for`
         self.expect_punct("(")?;
         let init = if self.eat_punct(";") {
             None
@@ -516,7 +578,7 @@ impl Parser {
     }
 
     fn parse_while(&mut self) -> Result<Stmt, FrontendError> {
-        let start = self.bump().span; // `while`
+        let start = self.bump(); // `while`
         self.expect_punct("(")?;
         let cond = self.parse_expr()?;
         self.expect_punct(")")?;
@@ -533,7 +595,7 @@ impl Parser {
     }
 
     fn parse_if(&mut self) -> Result<Stmt, FrontendError> {
-        let start = self.bump().span; // `if`
+        let start = self.bump(); // `if`
         self.expect_punct("(")?;
         let cond = self.parse_expr()?;
         self.expect_punct(")")?;
@@ -565,6 +627,10 @@ impl Parser {
     }
 
     fn parse_assignment_expr(&mut self) -> Result<Expr, FrontendError> {
+        self.nested(Self::parse_assignment_unbounded)
+    }
+
+    fn parse_assignment_unbounded(&mut self) -> Result<Expr, FrontendError> {
         let lhs = self.parse_ternary()?;
         let op = match self.peek().kind {
             TokenKind::Punct("=") => None,
@@ -638,8 +704,12 @@ impl Parser {
     }
 
     fn parse_binary(&mut self, min_prec: u8) -> Result<Expr, FrontendError> {
+        let depth = self.depth;
         let mut lhs = self.parse_unary()?;
         while let Some((op, prec)) = self.binop_at(min_prec) {
+            // Each operator of a left-associative chain nests the chain so
+            // far one level deeper.
+            self.descend()?;
             self.bump();
             let rhs = self.parse_binary(prec + 1)?;
             let span = lhs.span.merge(rhs.span);
@@ -652,14 +722,19 @@ impl Parser {
                 span,
             );
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
     fn parse_unary(&mut self) -> Result<Expr, FrontendError> {
-        let tok = self.peek().clone();
-        match tok.kind {
+        self.nested(Self::parse_unary_unbounded)
+    }
+
+    fn parse_unary_unbounded(&mut self) -> Result<Expr, FrontendError> {
+        let open = self.peek().span;
+        match self.peek().kind {
             TokenKind::Punct("-") => {
-                let start = self.bump().span;
+                let start = self.bump();
                 let operand = self.parse_unary()?;
                 let span = start.merge(operand.span);
                 Ok(Expr::new(
@@ -675,7 +750,7 @@ impl Parser {
                 self.parse_unary()
             }
             TokenKind::Punct("!") => {
-                let start = self.bump().span;
+                let start = self.bump();
                 let operand = self.parse_unary()?;
                 let span = start.merge(operand.span);
                 Ok(Expr::new(
@@ -687,7 +762,7 @@ impl Parser {
                 ))
             }
             TokenKind::Punct("~") => {
-                let start = self.bump().span;
+                let start = self.bump();
                 let operand = self.parse_unary()?;
                 let span = start.merge(operand.span);
                 Ok(Expr::new(
@@ -699,12 +774,12 @@ impl Parser {
                 ))
             }
             TokenKind::Punct("++") | TokenKind::Punct("--") => {
-                let delta = if matches!(tok.kind, TokenKind::Punct("++")) {
+                let delta = if matches!(self.peek().kind, TokenKind::Punct("++")) {
                     1
                 } else {
                     -1
                 };
-                let start = self.bump().span;
+                let start = self.bump();
                 let target = self.parse_unary()?;
                 let span = start.merge(target.span);
                 Ok(Expr::new(
@@ -734,7 +809,7 @@ impl Parser {
                         }
                         let close = self.expect_punct(")")?;
                         let operand = self.parse_unary()?;
-                        let span = tok.span.merge(close).merge(operand.span);
+                        let span = open.merge(close).merge(operand.span);
                         return Ok(Expr::new(
                             ExprKind::Cast {
                                 ty,
@@ -752,8 +827,12 @@ impl Parser {
     }
 
     fn parse_postfix(&mut self) -> Result<Expr, FrontendError> {
+        let depth = self.depth;
         let mut e = self.parse_primary()?;
         loop {
+            if matches!(self.peek().kind, TokenKind::Punct("[" | "++" | "--")) {
+                self.descend()?;
+            }
             match self.peek().kind {
                 TokenKind::Punct("[") => {
                     self.bump();
@@ -774,7 +853,7 @@ impl Parser {
                     } else {
                         -1
                     };
-                    let end = self.bump().span;
+                    let end = self.bump();
                     let span = e.span.merge(end);
                     e = Expr::new(
                         ExprKind::IncDec {
@@ -785,13 +864,16 @@ impl Parser {
                         span,
                     );
                 }
-                _ => return Ok(e),
+                _ => {
+                    self.depth = depth;
+                    return Ok(e);
+                }
             }
         }
     }
 
     fn parse_primary(&mut self) -> Result<Expr, FrontendError> {
-        let tok = self.bump();
+        let tok = self.take();
         match tok.kind {
             TokenKind::IntLit(v) => Ok(Expr::new(ExprKind::IntLit(v), tok.span)),
             TokenKind::CharLit(v) => Ok(Expr::new(ExprKind::IntLit(v), tok.span)),
@@ -1076,6 +1158,105 @@ mod tests {
             }
         });
         assert_eq!(n, 3);
+    }
+
+    #[test]
+    fn multi_declarator_globals_become_one_global_each() {
+        let tu = parse_ok("float a[64], b[32][8] __attribute__((aligned(16))), s = 2;\nint n;");
+        let globals: Vec<&GlobalVar> = tu.globals().collect();
+        assert_eq!(globals.len(), 4);
+        assert_eq!(
+            (globals[0].name.as_str(), &globals[0].dims),
+            ("a", &vec![64])
+        );
+        assert_eq!(globals[1].dims, vec![32, 8]);
+        assert_eq!(globals[1].alignment, Some(16));
+        assert_eq!(globals[2].init.as_ref().and_then(Expr::const_int), Some(2));
+        assert!(globals[..3].iter().all(|g| g.ty == Type::Float));
+        // Every declarator spans its whole declaration.
+        assert_eq!(globals[0].span, globals[2].span);
+        assert_eq!(
+            globals[0].span.end,
+            "float a[64], b[32][8] __attribute__((aligned(16))), s = 2;".len()
+        );
+
+        let split = parse_ok(
+            "float a[64]; float b[32][8] __attribute__((aligned(16))); float s = 2;\nint n;",
+        );
+        let strip = |tu: &TranslationUnit| -> Vec<GlobalVar> {
+            tu.globals()
+                .map(|g| GlobalVar {
+                    span: Span::synthetic(),
+                    init: g
+                        .init
+                        .as_ref()
+                        .map(|e| Expr::new(e.kind.clone(), Span::synthetic())),
+                    ..g.clone()
+                })
+                .collect()
+        };
+        assert_eq!(strip(&tu), strip(&split));
+    }
+
+    #[test]
+    fn multi_declarator_errors_are_reported() {
+        for bad in [
+            "float a[4], ;",
+            "float a[4], *p;",
+            "float a[4], b[4]",
+            "float a[4] b[4];",
+        ] {
+            let tokens = Lexer::new(bad).tokenize().unwrap();
+            assert!(
+                Parser::new(tokens).parse_translation_unit().is_err(),
+                "{bad}"
+            );
+        }
+    }
+
+    /// Every way the grammar nests — parentheses, operator chains,
+    /// right-associative assignment, conditionals, prefix and postfix
+    /// operators, statements — stops with a typed error at the bound
+    /// instead of exhausting the stack.
+    #[test]
+    fn nesting_is_bounded_with_a_typed_error() {
+        let n = 100_000;
+        let deep = [
+            format!("x = {}1{};", "(".repeat(n), ")".repeat(n)),
+            format!("x = 1{};", " + 1".repeat(n)),
+            format!("x = {}1;", "y = ".repeat(n)),
+            format!("x = {}1;", "c ? 1 : ".repeat(n)),
+            format!("x = {}1;", "-".repeat(n)),
+            format!("x = {}1;", "(int)".repeat(n)),
+            format!("x = a{};", "[0]".repeat(n)),
+            format!("x{};", "++".repeat(n)),
+            format!("{}x = 1;{}", "{".repeat(n), "}".repeat(n)),
+            format!("{}x = 1;", "if (c) ".repeat(n)),
+            format!("{}x = 1;", "for (;;) ".repeat(n)),
+        ];
+        for src in &deep {
+            let err = crate::parse_statement(src).unwrap_err();
+            assert_eq!(err.kind(), crate::ErrorKind::TooDeep, "{}", &src[..40]);
+        }
+        let err =
+            crate::parse_translation_unit(&format!("int g = {}1{};", "(".repeat(n), ")".repeat(n)))
+                .unwrap_err();
+        assert_eq!(err.kind(), crate::ErrorKind::TooDeep);
+
+        // Well inside the bound, the same shapes still parse.
+        let shallow = 40;
+        for src in [
+            format!("x = {}1{};", "(".repeat(shallow), ")".repeat(shallow)),
+            format!("x = 1{};", " + 1".repeat(shallow)),
+            format!("{}x = 1;{}", "{".repeat(shallow), "}".repeat(shallow)),
+            format!("{}x = 1;", "for (;;) ".repeat(shallow)),
+        ] {
+            assert!(crate::parse_statement(&src).is_ok());
+        }
+        assert_eq!(
+            crate::parse_statement("x = (1;").unwrap_err().kind(),
+            crate::ErrorKind::Syntax
+        );
     }
 
     #[test]

@@ -5,53 +5,65 @@
 //! `#pragma clang loop vectorize_width(VF) interleave_count(IF)` directly
 //! above the targeted (innermost) loop. We reproduce that as a *text splice*:
 //! the original file is preserved byte-for-byte except for the inserted
-//! pragma line, exactly like the paper's framework edits source files.
+//! pragma lines, exactly like the paper's framework edits source files.
+//!
+//! A whole file's decisions are spliced in one pass: the file is split into
+//! lines once, each site's edit is applied to that list from the bottom of
+//! the file up (so a site's header line still indexes the original text),
+//! and the lines are joined once.
+
+use std::borrow::Cow;
+use std::cmp::Reverse;
 
 use crate::ast::LoopPragma;
+
+const LOOP_PRAGMA: &str = "#pragma clang loop";
 
 /// Injects `pragma` on its own line immediately above `header_line`
 /// (1-based), using the indentation of that line.
 ///
 /// Any existing `#pragma clang loop` line directly above the header is
 /// replaced, so repeated injection is idempotent rather than accumulating
-/// stale hints.
+/// stale hints. A header past the end of the file appends the pragma.
 pub fn inject_pragma(source: &str, header_line: u32, pragma: LoopPragma) -> String {
-    let lines: Vec<&str> = source.split('\n').collect();
-    let idx = (header_line as usize).saturating_sub(1).min(lines.len());
-    let indent: String = lines
-        .get(idx)
-        .map(|l| l.chars().take_while(|c| c.is_whitespace()).collect())
-        .unwrap_or_default();
-
-    let mut out = Vec::with_capacity(lines.len() + 1);
-    for (i, line) in lines.iter().enumerate() {
-        if i == idx {
-            // Replace an existing hint directly above the loop.
-            if let Some(prev) = out.last() {
-                let prev: &String = prev;
-                if prev.trim_start().starts_with("#pragma clang loop") {
-                    out.pop();
-                }
-            }
-            out.push(format!("{indent}{pragma}"));
-        }
-        out.push((*line).to_string());
-    }
-    if idx == lines.len() {
-        out.push(format!("{indent}{pragma}"));
-    }
-    out.join("\n")
+    inject_pragmas(source, &[(header_line, pragma)])
 }
 
-/// Injects a pragma above each `(header_line, pragma)` site, splicing
-/// bottom-up so earlier header lines stay valid while later ones shift.
-/// The input order does not matter.
+/// Injects a pragma above each `(header_line, pragma)` site as
+/// [`inject_pragma`] would, one site after another from the bottom of the
+/// file up, so earlier header lines stay valid while later ones shift.
+/// Sites on the same line apply in input order; otherwise the input order
+/// does not matter.
 pub fn inject_pragmas(source: &str, sites: &[(u32, LoopPragma)]) -> String {
     let mut ordered: Vec<&(u32, LoopPragma)> = sites.iter().collect();
-    ordered.sort_by(|a, b| b.0.cmp(&a.0));
-    let mut out = source.to_string();
-    for (line, pragma) in ordered {
-        out = inject_pragma(&out, *line, *pragma);
+    ordered.sort_by_key(|&&(line, _)| Reverse(line));
+    let mut lines: Vec<Cow<'_, str>> = source.split('\n').map(Cow::Borrowed).collect();
+    for &(header_line, pragma) in ordered {
+        let idx = (header_line as usize).saturating_sub(1).min(lines.len());
+        let Some(header) = lines.get(idx) else {
+            lines.push(Cow::Owned(pragma.to_string()));
+            continue;
+        };
+        let indent_len: usize = header
+            .chars()
+            .take_while(|c| c.is_whitespace())
+            .map(char::len_utf8)
+            .sum();
+        let line = Cow::Owned(format!("{}{pragma}", &header[..indent_len]));
+        // Replace an existing hint directly above the loop.
+        match idx.checked_sub(1) {
+            Some(above) if lines[above].trim_start().starts_with(LOOP_PRAGMA) => {
+                lines[above] = line;
+            }
+            _ => lines.insert(idx, line),
+        }
+    }
+    let mut out = String::with_capacity(lines.iter().map(|l| l.len() + 1).sum());
+    for (i, line) in lines.iter().enumerate() {
+        if i > 0 {
+            out.push('\n');
+        }
+        out.push_str(line);
     }
     out
 }
@@ -63,7 +75,7 @@ pub fn inject_pragmas(source: &str, sites: &[(u32, LoopPragma)]) -> String {
 pub fn strip_pragmas(source: &str) -> String {
     source
         .split('\n')
-        .filter(|l| !l.trim_start().starts_with("#pragma clang loop"))
+        .filter(|l| !l.trim_start().starts_with(LOOP_PRAGMA))
         .collect::<Vec<_>>()
         .join("\n")
 }

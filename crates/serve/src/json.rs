@@ -71,6 +71,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -191,9 +192,25 @@ fn render_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// How deeply arrays and objects may nest in a parsed value. Deeper
+/// input fails with [`JsonErrorKind::TooDeep`] instead of exhausting the
+/// parsing thread's stack.
+pub const MAX_DEPTH: usize = 128;
+
+/// What kind of failure a [`JsonError`] reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JsonErrorKind {
+    /// The text is not JSON.
+    Syntax,
+    /// Arrays and objects nest deeper than [`MAX_DEPTH`].
+    TooDeep,
+}
+
 /// A parse failure with byte position.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
+    /// Malformed text or too deep a value.
+    pub kind: JsonErrorKind,
     /// What went wrong.
     pub message: String,
     /// Byte offset of the failure.
@@ -211,14 +228,36 @@ impl std::error::Error for JsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at the cursor.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn err(&self, message: &str) -> JsonError {
         JsonError {
+            kind: JsonErrorKind::Syntax,
             message: message.to_string(),
             position: self.pos,
         }
+    }
+
+    /// Parses an array or object one level deeper. A failed parse is never
+    /// resumed, so the level is closed only on success.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(JsonError {
+                kind: JsonErrorKind::TooDeep,
+                message: format!("nesting deeper than {MAX_DEPTH} levels"),
+                position: self.pos,
+            });
+        }
+        self.depth += 1;
+        let value = parse(self)?;
+        self.depth -= 1;
+        Ok(value)
     }
 
     fn skip_ws(&mut self) {
@@ -255,8 +294,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -487,6 +526,19 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "accepted malformed: {bad}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_with_a_typed_error() {
+        for open in ["[", "{\"a\":"] {
+            let err = Json::parse(&open.repeat(200_000)).unwrap_err();
+            assert_eq!(err.kind, JsonErrorKind::TooDeep, "{open}");
+        }
+        let at_bound = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_bound).is_ok());
+        let past = format!("[{at_bound}]");
+        assert_eq!(Json::parse(&past).unwrap_err().kind, JsonErrorKind::TooDeep);
+        assert_eq!(Json::parse("[1,]").unwrap_err().kind, JsonErrorKind::Syntax);
     }
 
     #[test]

@@ -363,3 +363,99 @@ fn reload_hot_swaps_without_dropping_inflight_requests() {
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// An in-process hub serving one untrained model: enough to exercise
+/// request handling without a training run.
+fn in_process_hub() -> Hub {
+    let hub = Hub::new(HubConfig::default(), ServeConfig::default());
+    let nv = NeuroVectorizer::new(NvConfig::fast().with_seed(41));
+    hub.register(spec(nv, "prod", 1)).unwrap();
+    hub
+}
+
+fn handle(hub: &Hub, line: &str) -> Json {
+    Json::parse(&hub.handle_line(line).0).expect("the hub answers every line with JSON")
+}
+
+#[test]
+fn pathologically_nested_requests_fail_cleanly_and_the_hub_keeps_answering() {
+    let hub = in_process_hub();
+    let n = 100_000;
+    let parens = format!(
+        "int a[8];\nvoid f(int n) {{ for (int i = 0; i < n; i++) {{ a[i] = {}1{}; }} }}",
+        "(".repeat(n),
+        ")".repeat(n)
+    );
+    let chain = format!(
+        "int a[8];\nvoid f(int n) {{ for (int i = 0; i < n; i++) {{ a[i] = 1{}; }} }}",
+        " + a[i]".repeat(n)
+    );
+    let blocks = format!("void f() {{ {}{} }}", "{".repeat(n), "}".repeat(n));
+    let lines = [
+        nvc_serve::json::obj(vec![("source", Json::from(parens.as_str()))]).render(),
+        nvc_serve::json::obj(vec![("source", Json::from(chain.as_str()))]).render(),
+        nvc_serve::json::obj(vec![("source", Json::from(blocks.as_str()))]).render(),
+        "[".repeat(200_000),
+        format!(
+            "{{\"op\":\"vectorize\",\"source\":\"int x;\",\"pad\":{}",
+            "[".repeat(200_000)
+        ),
+    ];
+    for line in &lines {
+        let v = handle(&hub, line);
+        assert_eq!(
+            v.get("ok").and_then(Json::as_bool),
+            Some(false),
+            "{}",
+            &line[..60]
+        );
+        let error = v.get("error").and_then(Json::as_str).unwrap();
+        assert!(error.contains("nesting deeper than"), "{error}");
+        let pong = handle(&hub, r#"{"op":"ping","id":"after"}"#);
+        assert_eq!(pong.get("ok").and_then(Json::as_bool), Some(true));
+        assert_eq!(pong.get("id").and_then(Json::as_str), Some("after"));
+    }
+}
+
+#[test]
+fn multi_declarator_globals_serve_like_one_declaration_per_global() {
+    let body = "\nvoid f(int n, float s) {
+    for (int i = 0; i < n; i++) { a[i] = b[i] * s + c[i]; }
+    for (int i = 0; i < n; i++) { c[i] = a[i] > b[i] ? a[i] : b[i]; }
+}";
+    let joined = format!("float a[1024], b[1024] __attribute__((aligned(16))), c[1024];{body}");
+    let split =
+        format!("float a[1024]; float b[1024] __attribute__((aligned(16))); float c[1024];{body}");
+    let hub = in_process_hub();
+    let serve = |source: &str| {
+        let v = handle(
+            &hub,
+            &nvc_serve::json::obj(vec![("source", Json::from(source))]).render(),
+        );
+        assert_eq!(
+            v.get("ok").and_then(Json::as_bool),
+            Some(true),
+            "{}",
+            v.render()
+        );
+        let loops: Vec<String> = v
+            .get("loops")
+            .and_then(Json::as_array)
+            .unwrap()
+            .iter()
+            .map(|l| {
+                let field = |k: &str| l.get(k).map(Json::render).unwrap_or_default();
+                ["function", "line", "vf", "if", "key"].map(field).join(" ")
+            })
+            .collect();
+        let annotated = v.get("source").and_then(Json::as_str).unwrap().to_string();
+        (loops, annotated)
+    };
+    let (joined_loops, joined_out) = serve(&joined);
+    let (split_loops, split_out) = serve(&split);
+    assert_eq!(joined_loops.len(), 2);
+    assert_eq!(joined_loops, split_loops);
+    let after_decls = |s: &str| s.split_once('\n').unwrap().1.to_string();
+    assert_eq!(after_decls(&joined_out), after_decls(&split_out));
+    assert!(joined_out.starts_with("float a[1024], b[1024]"));
+}
