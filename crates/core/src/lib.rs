@@ -71,8 +71,8 @@ pub use nvc_fleet::{
     RegistryService,
 };
 pub use nvc_hub::{
-    spawn_announcer, spawn_learner, AnnounceConfig, Hub, HubConfig, HubHandle, HubTransport,
-    LearnConfig, LearnEvent, ModelSpec, ReportRecord,
+    spawn_announcer, spawn_learner, AnnounceConfig, Hub, HubConfig, HubHandle, LearnConfig,
+    LearnEvent, ModelSpec, ReportRecord,
 };
 pub use nvc_rl::ReplayEnv;
 pub use nvc_serve::{run_daemon, ServeConfig, ServeHandle};

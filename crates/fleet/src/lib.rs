@@ -10,7 +10,8 @@
 //!   checkpoint_hash, addr)` over the same JSON-lines protocol the rest
 //!   of the stack speaks, with TTL'd heartbeats — a node that stops
 //!   heartbeating expires out of resolution instead of black-holing
-//!   clients;
+//!   clients. The server is the hub's own event-driven line server
+//!   (`nvc_serve::serve_lines`);
 //! * [`store`] — a **content-addressed shared decision store**: one
 //!   [`ContentStore`] per process, layered *behind* every model's
 //!   private LRU (`nvc_serve::SharedDecisionStore`), keyed by

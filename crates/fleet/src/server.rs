@@ -1,23 +1,18 @@
-//! TCP front-end for the discovery registry.
-//!
-//! Registry traffic is tiny (a heartbeat per node per second, a resolve
-//! per client per TTL window), so this runs the simple
-//! thread-per-connection loop rather than the hub's event driver. The
-//! protocol is the stack-wide one-JSON-object-per-line dialect; see the
-//! crate docs for the verb set.
+//! TCP front-end for the discovery registry: [`RegistryService`] is a
+//! [`LineService`] served by `nvc_serve::serve_lines`, the same
+//! event-driven line server the hub runs behind, with the same
+//! backpressure, line limit and connection gauges. The protocol is the
+//! stack-wide one-JSON-object-per-line dialect; see the crate docs for
+//! the verb set.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-
-use parking_lot::Mutex;
+use std::time::Instant;
 
 use nvc_obs::{Counter, MetricsRegistry};
 use nvc_serve::json::obj;
-use nvc_serve::Json;
+use nvc_serve::{serve_lines, Json, LineServer, LineServerConfig, LineService};
 
 use crate::registry::{NodeAnnouncement, RegistryCore};
 
@@ -54,7 +49,7 @@ impl RegistryService {
         self.shutting_down.load(Ordering::Acquire)
     }
 
-    /// Flags shutdown (the accept/connection loops poll this).
+    /// Flags shutdown (the line server polls this).
     pub fn shutdown(&self) {
         self.shutting_down.store(true, Ordering::Release);
     }
@@ -162,13 +157,32 @@ fn err_response(msg: &str) -> String {
     obj(vec![("ok", Json::from(false)), ("error", Json::from(msg))]).render()
 }
 
+impl LineService for RegistryService {
+    fn handle_line(&self, line: &str) -> (String, bool) {
+        RegistryService::handle_line(self, line)
+    }
+
+    fn is_shutting_down(&self) -> bool {
+        RegistryService::is_shutting_down(self)
+    }
+
+    fn shutdown(&self) {
+        RegistryService::shutdown(self);
+    }
+}
+
+/// Request workers: registry verbs are table lookups, never blocking.
+const REGISTRY_WORKERS: usize = 2;
+
+/// Per-connection unsent-output bound; a `resolve` answer is a few KiB.
+const REGISTRY_MAX_OUTPUT: usize = 256 * 1024;
+
 /// A running registry server. Dropping the handle shuts it down and
 /// joins every thread.
 pub struct RegistryHandle {
     service: Arc<RegistryService>,
     addr: SocketAddr,
-    accept: Mutex<Option<JoinHandle<()>>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    server: LineServer,
 }
 
 /// Binds `listen` and starts the registry.
@@ -196,91 +210,20 @@ pub fn serve_registry_on(
     listener: TcpListener,
 ) -> std::io::Result<RegistryHandle> {
     let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
-    let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-    let accept = {
-        let service = Arc::clone(&service);
-        let conns = Arc::clone(&conns);
-        let poll = Duration::from_millis(20);
-        std::thread::Builder::new()
-            .name("nvc-registry-accept".to_string())
-            .spawn(move || loop {
-                if service.is_shutting_down() {
-                    return;
-                }
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let service = Arc::clone(&service);
-                        let worker = std::thread::Builder::new()
-                            .name("nvc-registry-conn".to_string())
-                            .spawn(move || serve_connection(&service, stream))
-                            .expect("spawn registry connection thread");
-                        let mut conns = conns.lock();
-                        conns.retain(|c: &JoinHandle<()>| !c.is_finished());
-                        conns.push(worker);
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(poll);
-                    }
-                    Err(e) => {
-                        // Keep accepting through transient failures —
-                        // a dead acceptor looks exactly like a healthy
-                        // registry that rejects everyone.
-                        eprintln!("nvc registry: accept failed (retrying): {e}");
-                        std::thread::sleep(poll);
-                    }
-                }
-            })
-            .expect("spawn registry accept thread")
+    let obs = service.metrics_registry();
+    let cfg = LineServerConfig {
+        name: "nvc-registry",
+        workers: REGISTRY_WORKERS,
+        max_output_buffer: REGISTRY_MAX_OUTPUT,
+        connections: obs.counter("registry_connections_total"),
+        active_connections: obs.gauge("registry_active_connections"),
     };
+    let server = serve_lines(Arc::clone(&service), listener, cfg)?;
     Ok(RegistryHandle {
         service,
         addr,
-        accept: Mutex::new(Some(accept)),
-        conns,
+        server,
     })
-}
-
-/// One connection: buffer bytes, answer complete lines, exit on EOF,
-/// write failure, protocol shutdown, or service shutdown.
-fn serve_connection(service: &RegistryService, mut stream: TcpStream) {
-    let poll = Duration::from_millis(50);
-    let _ = stream.set_read_timeout(Some(poll));
-    let _ = stream.set_nodelay(true);
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 4096];
-    loop {
-        while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-            let line_bytes: Vec<u8> = buf.drain(..=pos).collect();
-            let line = String::from_utf8_lossy(&line_bytes);
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let (response, keep_going) = service.handle_line(line);
-            let wrote = stream
-                .write_all(response.as_bytes())
-                .and_then(|()| stream.write_all(b"\n"))
-                .and_then(|()| stream.flush());
-            if wrote.is_err() || !keep_going {
-                return;
-            }
-        }
-        if service.is_shutting_down() {
-            return;
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(_) => return,
-        }
-    }
 }
 
 impl RegistryHandle {
@@ -298,13 +241,7 @@ impl RegistryHandle {
     /// Idempotent.
     pub fn shutdown(&self) {
         self.service.shutdown();
-        if let Some(accept) = self.accept.lock().take() {
-            let _ = accept.join();
-        }
-        let conns: Vec<JoinHandle<()>> = self.conns.lock().drain(..).collect();
-        for c in conns {
-            let _ = c.join();
-        }
+        self.server.join();
     }
 }
 
@@ -318,7 +255,9 @@ impl Drop for RegistryHandle {
 mod tests {
     use super::*;
     use crate::registry::ModelAd;
-    use std::io::{BufRead, BufReader};
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
+    use std::time::Duration;
 
     fn start() -> RegistryHandle {
         serve_registry(Arc::new(RegistryService::default()), "127.0.0.1:0").expect("bind loopback")
@@ -441,5 +380,46 @@ mod tests {
                 r.read_line(&mut line).map(|n| n == 0).unwrap_or(true)
             }
         );
+    }
+
+    fn active_connections(addr: SocketAddr) -> f64 {
+        let v = roundtrip(addr, r#"{"op":"metrics"}"#);
+        v.get("metrics")
+            .and_then(|m| m.get("gauges"))
+            .and_then(|g| g.get("registry_active_connections"))
+            .and_then(Json::as_f64)
+            .expect("metrics carry registry_active_connections")
+    }
+
+    /// Sockets dropped without any protocol goodbye release the
+    /// `registry_active_connections` gauge, as seen through `metrics`.
+    #[test]
+    fn abruptly_dropped_sockets_release_the_gauge() {
+        let handle = start();
+        let mut streams = Vec::new();
+        for _ in 0..8 {
+            let mut s = TcpStream::connect(handle.addr()).unwrap();
+            // Prove the connection is fully established and registered.
+            s.write_all(b"{\"op\":\"ping\"}\n").unwrap();
+            let mut r = BufReader::new(s.try_clone().unwrap());
+            let mut line = String::new();
+            r.read_line(&mut line).unwrap();
+            streams.push(s);
+        }
+        // The eight held open plus the one asking.
+        assert_eq!(active_connections(handle.addr()), 9.0);
+        drop(streams);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            let active = active_connections(handle.addr());
+            if active == 1.0 {
+                break;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "gauge stuck at {active} after abrupt drops"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
     }
 }

@@ -4,11 +4,12 @@
 //! many processes on many machines, and retraining ships new checkpoints
 //! while builds are running. This crate is the layer between the two:
 //!
-//! * [`server`] — a **TCP transport**: a `TcpListener` accept loop with
-//!   one thread per connection speaking the same JSON-lines protocol as
-//!   the stdin daemon, plus `ping` / `metrics` / `reload` / `shutdown`
-//!   control verbs. Any number of concurrent build processes share one
-//!   warm hub;
+//! * [`server`] — the **TCP endpoint**: the hub runs behind
+//!   `nvc_serve::serve_lines` (one selector thread, a small request
+//!   worker pool) speaking the same JSON-lines protocol as the stdin
+//!   daemon, plus `ping` / `metrics` / `reload` / `shutdown` control
+//!   verbs. Any number of concurrent build processes share one warm
+//!   hub;
 //! * [`registry`] — a **model registry**: N named checkpoints, each
 //!   behind its own `ServeHandle` (private cache + batcher + workers),
 //!   routed by explicit `"model"` field or a deterministic weighted A/B
@@ -50,7 +51,6 @@
 //! content hash so fleet clients can verify versions end-to-end.
 
 pub mod announce;
-mod event;
 pub mod learn;
 pub mod persist;
 pub mod registry;
@@ -75,31 +75,6 @@ pub use persist::CacheSection;
 pub use registry::{ModelEntry, ModelRegistry, ModelSpec};
 pub use server::HubHandle;
 
-/// Which machinery drives connection I/O (`HubConfig::transport`,
-/// `--transport` on `nvc hub`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum HubTransport {
-    /// One readiness selector (`vendor/polling`: epoll on Linux,
-    /// `poll(2)` elsewhere) drives every connection nonblocking; idle
-    /// connections cost zero CPU. The default.
-    Event,
-    /// One OS thread per connection, polling at `conn_poll_ms` — the
-    /// pre-selector transport, kept for parity testing and as a
-    /// fallback.
-    Threads,
-}
-
-impl HubTransport {
-    /// Parses the CLI spelling (`event` | `threads`).
-    pub fn parse(s: &str) -> Result<HubTransport, String> {
-        match s {
-            "event" => Ok(HubTransport::Event),
-            "threads" => Ok(HubTransport::Threads),
-            other => Err(format!("unknown transport `{other}` (event|threads)")),
-        }
-    }
-}
-
 /// Tuning knobs for the hub tier (`NvConfig.hub`, `nvc hub` flags).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HubConfig {
@@ -109,23 +84,13 @@ pub struct HubConfig {
     /// Where the decision cache persists across restarts (`None`
     /// disables persistence).
     pub cache_path: Option<String>,
-    /// Per-connection read poll interval in milliseconds — how quickly
-    /// an idle connection notices hub shutdown (threads transport only;
-    /// the event transport has no per-connection timers).
-    pub conn_poll_ms: u64,
-    /// Accept-loop poll interval in milliseconds (threads transport
-    /// only).
-    pub accept_poll_ms: u64,
-    /// Connection I/O machinery; see [`HubTransport`].
-    pub transport: HubTransport,
     /// Worker threads executing protocol requests off the event loop
-    /// (event transport only; clamped to ≥ 1). Responses are written
-    /// back in per-connection request order regardless.
+    /// (clamped to ≥ 1). Responses are written back in per-connection
+    /// request order regardless.
     pub request_threads: usize,
-    /// Backpressure bound (event transport): once a connection's queued
-    /// unsent output exceeds this many bytes the loop stops *reading*
-    /// from it until the peer drains below half — a slow reader
-    /// throttles only itself.
+    /// Backpressure bound: once a connection's queued unsent output
+    /// exceeds this many bytes the loop stops *reading* from it until
+    /// the peer drains below half — a slow reader throttles only itself.
     pub max_output_buffer: usize,
     /// Background cache-checkpoint interval in seconds (0 disables).
     /// With persistence configured, the cache image is rewritten every
@@ -139,9 +104,6 @@ impl Default for HubConfig {
         HubConfig {
             listen: "127.0.0.1:7199".to_string(),
             cache_path: None,
-            conn_poll_ms: 50,
-            accept_poll_ms: 20,
-            transport: HubTransport::Event,
             request_threads: 4,
             max_output_buffer: 256 * 1024,
             cache_checkpoint_secs: 0,
@@ -162,19 +124,13 @@ impl HubConfig {
         self
     }
 
-    /// Builder-style transport override.
-    pub fn with_transport(mut self, transport: HubTransport) -> Self {
-        self.transport = transport;
-        self
-    }
-
-    /// Builder-style request-worker override (event transport).
+    /// Builder-style request-worker override.
     pub fn with_request_threads(mut self, n: usize) -> Self {
         self.request_threads = n;
         self
     }
 
-    /// Builder-style output-buffer-bound override (event transport).
+    /// Builder-style output-buffer-bound override.
     pub fn with_max_output_buffer(mut self, bytes: usize) -> Self {
         self.max_output_buffer = bytes;
         self
@@ -567,9 +523,9 @@ impl Hub {
     /// Handles one protocol line; returns the response line and whether
     /// the connection should keep reading (`false` after `shutdown`).
     pub fn handle_line(&self, line: &str) -> (String, bool) {
-        // Mint a trace id if the transport (serve_connection) didn't
-        // already; direct callers (tests, in-process embedding) get one
-        // per line this way.
+        // Mint a trace id if the line server didn't already; direct
+        // callers (tests, in-process embedding) get one per line this
+        // way.
         let _trace = nvc_obs::request_scope();
         let _span = nvc_obs::span("hub_request");
         self.requests.inc();

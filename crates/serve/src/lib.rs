@@ -20,7 +20,10 @@
 //!   (stdin/stdout daemon mode via [`run_daemon`]) plus the in-process
 //!   [`ServeHandle`] API;
 //! * [`json`] — the minimal JSON reader/writer the protocol uses (the
-//!   offline dependency set has no `serde_json`).
+//!   offline dependency set has no `serde_json`);
+//! * [`lines`] — the one event-driven TCP line server ([`serve_lines`])
+//!   every network daemon of the stack (hub, registry) runs behind a
+//!   [`LineService`].
 //!
 //! # Protocol
 //!
@@ -68,6 +71,7 @@
 pub mod batch;
 pub mod cache;
 pub mod json;
+pub mod lines;
 pub mod metrics;
 pub mod protocol;
 pub mod service;
@@ -79,6 +83,7 @@ use nvc_machine::TargetConfig;
 
 pub use cache::{CacheStats, ShardedLruCache};
 pub use json::Json;
+pub use lines::{serve_lines, LineServer, LineServerConfig, LineService};
 pub use metrics::{LatencyHistogram, Metrics, MetricsSnapshot};
 pub use protocol::{LoopReport, Request};
 pub use service::{run_daemon, ServeError, ServeHandle, VectorizeOutput};

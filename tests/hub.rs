@@ -459,3 +459,112 @@ fn multi_declarator_globals_serve_like_one_declaration_per_global() {
     assert_eq!(after_decls(&joined_out), after_decls(&split_out));
     assert!(joined_out.starts_with("float a[1024], b[1024]"));
 }
+
+/// Pipelines `lines` on one connection from a writer thread while the
+/// calling thread reads the responses; returns them in arrival order.
+/// The reader starts late, like a client that sends a burst before it
+/// collects answers, so the hub holds a full socket buffer of lines.
+/// Every response must arrive within 60 s.
+fn pipeline(addr: SocketAddr, lines: Vec<String>) -> Vec<Json> {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    let n = lines.len();
+    let mut writer = stream.try_clone().unwrap();
+    let sender = std::thread::spawn(move || {
+        let mut batch = Vec::new();
+        for line in lines {
+            batch.extend_from_slice(line.as_bytes());
+            batch.push(b'\n');
+            if batch.len() >= 64 * 1024 {
+                writer.write_all(&batch).expect("pipelined write");
+                batch.clear();
+            }
+        }
+        writer.write_all(&batch).expect("pipelined write");
+    });
+    std::thread::sleep(std::time::Duration::from_millis(500));
+    let mut reader = BufReader::new(stream);
+    let responses = (0..n)
+        .map(|i| {
+            let mut response = String::new();
+            let got = reader.read_line(&mut response);
+            assert!(
+                matches!(got, Ok(len) if len > 0) && std::time::Instant::now() < deadline,
+                "response {i} of {n} did not arrive in time: {got:?}"
+            );
+            Json::parse(response.trim()).expect("parse response")
+        })
+        .collect();
+    sender.join().unwrap();
+    responses
+}
+
+fn assert_pongs_in_order(responses: &[Json]) {
+    for (i, v) in responses.iter().enumerate() {
+        assert_eq!(v.get("pong").and_then(Json::as_bool), Some(true), "{i}");
+        assert_eq!(
+            v.get("id").and_then(Json::as_str),
+            Some(i.to_string().as_str()),
+            "responses arrive in request order"
+        );
+    }
+}
+
+/// One client pipelining a burst of small lines gets every answer, in
+/// order: the line split is linear in the bytes buffered, and the
+/// in-flight bound throttles only this connection.
+#[test]
+fn pipelined_burst_of_pings_is_answered_in_order() {
+    let handle = start_hub(HubConfig::default().with_listen("127.0.0.1:0"), vec![]);
+    let lines = (0..1_000_000)
+        .map(|i| format!(r#"{{"op":"ping","id":"{i}"}}"#))
+        .collect();
+    assert_pongs_in_order(&pipeline(handle.addr(), lines));
+    handle.shutdown();
+}
+
+/// Pipelined large lines that together exceed the 16 MiB line limit
+/// are all answered: the limit applies per line, not to the buffer.
+#[test]
+fn pipelined_large_lines_beyond_the_line_limit_are_answered() {
+    let handle = start_hub(HubConfig::default().with_listen("127.0.0.1:0"), vec![]);
+    let pad = "x".repeat(1 << 20);
+    let lines = (0..20)
+        .map(|i| format!(r#"{{"op":"ping","id":"{i}","pad":"{pad}"}}"#))
+        .collect();
+    assert_pongs_in_order(&pipeline(handle.addr(), lines));
+    handle.shutdown();
+}
+
+/// A line past the limit is still cut off, and the hub keeps serving.
+#[test]
+fn unterminated_line_past_the_limit_is_cut_off() {
+    let handle = start_hub(HubConfig::default().with_listen("127.0.0.1:0"), vec![]);
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .unwrap();
+    // The write fails part-way once the hub hangs up; either is fine.
+    let _ = stream.write_all(&vec![b'x'; 17 << 20]);
+    let mut buf = [0u8; 64];
+    match std::io::Read::read(&mut stream, &mut buf) {
+        Ok(0) => {}
+        Err(e) => assert!(
+            !matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            ),
+            "the hub must hang up, not wait: {e}"
+        ),
+        Ok(n) => panic!("unexpected {n} response bytes"),
+    }
+    let mut conn = connect(handle.addr());
+    conn.get_mut().write_all(b"{\"op\":\"ping\"}\n").unwrap();
+    let mut pong = String::new();
+    conn.read_line(&mut pong).unwrap();
+    assert!(pong.contains("\"pong\":true"), "{pong}");
+    handle.shutdown();
+}

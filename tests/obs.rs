@@ -1,13 +1,17 @@
 //! End-to-end trace attribution: every served decision must be
 //! attributable from the span ring — a trace id set at the request
 //! boundary reaches the spans recorded on *other* threads (the batch
-//! worker), and a cache hit is distinguishable from a batched forward by
-//! span names alone.
+//! worker), a cache hit is distinguishable from a batched forward by
+//! span names alone, and a hub request's wire write joins its trace.
 //!
 //! One `#[test]` on purpose: the trace ring is process-global, so a
 //! single test keeps the record stream deterministic.
 
-use neurovectorizer::{NeuroVectorizer, NvConfig, ServeConfig};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
+use std::sync::Arc;
+
+use neurovectorizer::{Hub, HubConfig, NeuroVectorizer, NvConfig, ServeConfig};
 use nvc_obs::{enable_tracing, export_records, next_trace_id, trace_scope, TraceRecord};
 
 const SRC: &str = "float a[1024]; float b[1024];
@@ -49,6 +53,21 @@ fn served_decisions_are_attributable_by_trace_id() {
         handle.vectorize(SRC).expect("hit request");
     }
     handle.shutdown();
+
+    // Request 3: a hub request over TCP. The line server runs the line
+    // under one trace id and writes its response under the same id.
+    let hub = Hub::new(
+        HubConfig::default().with_listen("127.0.0.1:0"),
+        ServeConfig::default().with_workers(1),
+    );
+    let hub = nvc_hub::server::serve_tcp(Arc::new(hub)).expect("bind loopback");
+    let mut stream = TcpStream::connect(hub.addr()).expect("connect");
+    stream.write_all(b"{\"op\":\"ping\"}\n").unwrap();
+    let mut pong = String::new();
+    BufReader::new(stream).read_line(&mut pong).unwrap();
+    assert!(pong.contains("\"pong\":true"), "{pong}");
+    // Joining the loop thread guarantees its wire spans are recorded.
+    hub.shutdown();
 
     let records = export_records();
     let miss = names_of(&records, miss_trace);
@@ -113,4 +132,18 @@ fn served_decisions_are_attributable_by_trace_id() {
         "JSON export lost the trace id: {line}"
     );
     assert!(line.contains("\"name\":\"batch_forward\""));
+
+    // The wire write joins its request: one trace id carries both the
+    // hub's request span and the response's `tcp_write`.
+    let wire_trace = records
+        .iter()
+        .find(|r| r.name == "hub_request")
+        .expect("hub_request span")
+        .trace;
+    assert_ne!(wire_trace, 0, "the line server mints a trace id per line");
+    let wire = names_of(&records, wire_trace);
+    assert!(
+        wire.contains(&"tcp_write"),
+        "hub trace {wire_trace} lacks `tcp_write`: {wire:?}"
+    );
 }
