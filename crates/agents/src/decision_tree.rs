@@ -4,10 +4,8 @@
 //! the baseline — a little behind NNS and RL, which this reproduction's
 //! Figure 7 harness mirrors.
 
-use serde::{Deserialize, Serialize};
-
 /// Hyperparameters for tree induction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DecisionTreeConfig {
     /// Maximum tree depth.
     pub max_depth: usize,
@@ -24,7 +22,7 @@ impl Default for DecisionTreeConfig {
     }
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 enum Node {
     Leaf {
         label: usize,
@@ -38,7 +36,7 @@ enum Node {
 }
 
 /// A fitted CART classifier. Labels are flat action indices.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecisionTree {
     nodes: Vec<Node>,
 }

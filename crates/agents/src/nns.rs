@@ -7,10 +7,8 @@
 //! *trained* encoder, which is why NNS performs nearly as well as the RL
 //! policy itself (2.65× vs 2.67× in Figure 7).
 
-use serde::{Deserialize, Serialize};
-
 /// A 1-nearest-neighbour classifier over embedding vectors.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct NnsAgent {
     points: Vec<Vec<f32>>,
     labels: Vec<(usize, usize)>,

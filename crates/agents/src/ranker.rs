@@ -12,13 +12,12 @@
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use nvc_nn::{Adam, Graph, ParamId, ParamStore, Tensor};
 use nvc_rl::ActionDims;
 
 /// Ranker hyperparameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RankerConfig {
     /// Embedding width of the inputs.
     pub input_dim: usize,

@@ -67,15 +67,6 @@ const KERNEL_GATE_MIN_CORES: usize = 4;
 /// actually feeds the kernel.
 const KERNEL_ROWS: usize = 512;
 const KERNEL_REPS: usize = 30;
-/// Pool-vs-scoped driver A/B: required speedup of the persistent worker
-/// pool over per-call `std::thread::scope` spawns at the same thread
-/// count on the policy-head shape (64×340 · 340×64), where the work per
-/// call is small enough that spawn overhead is a visible fraction…
-const POOL_ACCEPTANCE_RATIO: f64 = 1.2;
-/// …applied only on hosts with ≥ `KERNEL_GATE_MIN_CORES` cores (both
-/// drivers run and their bits are compared on every host).
-const POOL_SHAPE: (usize, usize, usize) = (64, 340, 64);
-const POOL_REPS: usize = 1000;
 /// Fast-vs-strict kernel-mode A/B: required speedup of the `Fast`
 /// kernels (fused-FMA accumulators + `k`-split scheduling) over `Strict`
 /// at the same thread count, applied only on hosts with ≥
@@ -259,57 +250,6 @@ fn threaded_kernels() -> KernelBench {
         tiled_pps,
         unrolled_pps,
         threaded_pps,
-        parity,
-    }
-}
-
-/// Pool-vs-scoped A/B on the policy-head shape: same thread count, same
-/// shard list, identical bits — only the per-call handoff differs
-/// (condvar wake of persistent workers vs spawning fresh OS threads).
-struct PoolBench {
-    cores: usize,
-    threads: usize,
-    pool_pps: f64,
-    scoped_pps: f64,
-    parity: bool,
-}
-
-fn pool_vs_scoped() -> PoolBench {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    // Exercise the real multi-shard handoff even on small hosts; the
-    // speedup gate still only applies at KERNEL_GATE_MIN_CORES.
-    let threads = cores.max(2);
-    let (m, k, n) = POOL_SHAPE;
-    let mut rng = ChaCha8Rng::seed_from_u64(43);
-    let a = Tensor::from_vec(m, k, (0..m * k).map(|_| rng.gen_range(-1.0..1.0)).collect());
-    let b = Tensor::from_vec(k, n, (0..k * n).map(|_| rng.gen_range(-1.0..1.0)).collect());
-
-    kernels::set_matmul_threads(threads);
-    kernels::set_matmul_pool(true);
-    let pooled = a.matmul(&b);
-    kernels::set_matmul_pool(false);
-    let scoped = a.matmul(&b);
-    let parity = pooled == scoped;
-
-    let time = |pool: bool| {
-        kernels::set_matmul_pool(pool);
-        let _ = std::hint::black_box(a.matmul(&b)); // warm (pool spin-up)
-        let t0 = Instant::now();
-        for _ in 0..POOL_REPS {
-            std::hint::black_box(a.matmul(&b));
-        }
-        POOL_REPS as f64 / t0.elapsed().as_secs_f64()
-    };
-    let scoped_pps = time(false);
-    let pool_pps = time(true);
-    kernels::set_matmul_pool(std::env::var("NVC_MATMUL_POOL").map_or(true, |v| v.trim() != "0"));
-    kernels::set_matmul_threads(kernels::default_matmul_threads());
-
-    PoolBench {
-        cores,
-        threads,
-        pool_pps,
-        scoped_pps,
         parity,
     }
 }
@@ -545,37 +485,6 @@ fn main() -> ExitCode {
         }
     );
 
-    // Pool-vs-scoped driver A/B: the persistent pool must beat per-call
-    // scoped spawns at the same thread count on the policy-head shape
-    // (gated on core count — a 1-core host can't show the win but must
-    // still match bitwise).
-    let pb = pool_vs_scoped();
-    let pool_ratio = pb.pool_pps / pb.scoped_pps;
-    let pool_gate_applied = pb.cores >= KERNEL_GATE_MIN_CORES;
-    let pool_pass = pb.parity && (!pool_gate_applied || pool_ratio >= POOL_ACCEPTANCE_RATIO);
-    println!(
-        "\n== matmul driver ({m}x{k} · {k}x{n} policy shape, {t} threads) ==",
-        m = POOL_SHAPE.0,
-        k = POOL_SHAPE.1,
-        n = POOL_SHAPE.2,
-        t = pb.threads
-    );
-    println!("{:<34} {:>16}", "driver", "products/s");
-    println!("{:<34} {:>16.1}", "scoped per-call spawns", pb.scoped_pps);
-    println!("{:<34} {:>16.1}", "persistent worker pool", pb.pool_pps);
-    println!(
-        "driver parity (bitwise): {}",
-        if pb.parity { "ok" } else { "MISMATCH" }
-    );
-    println!(
-        "pool/scoped speedup: {pool_ratio:.2}x; acceptance >= {POOL_ACCEPTANCE_RATIO:.1}x {}",
-        if pool_gate_applied {
-            "applies (>= 4 cores)"
-        } else {
-            "not applied (< 4 cores — parity only)"
-        }
-    );
-
     // Fast-vs-strict kernel-mode A/B: ε-parity always; the ≥ 1.15×
     // speedup gate (FMA + k-split have to actually pay for their
     // relaxed-reassociation contract) only on >= 4-core hosts.
@@ -653,14 +562,6 @@ fn main() -> ExitCode {
         ("kernel_gate_applied", Json::from(kernel_gate_applied)),
         ("kernel_parity", Json::from(kb.parity)),
         ("kernel_pass", Json::from(kernel_pass)),
-        ("pool_threads", Json::from(pb.threads)),
-        ("pool_products_per_sec", Json::from(pb.pool_pps)),
-        ("scoped_products_per_sec", Json::from(pb.scoped_pps)),
-        ("pool_ratio", Json::from(pool_ratio)),
-        ("pool_acceptance_ratio", Json::from(POOL_ACCEPTANCE_RATIO)),
-        ("pool_gate_applied", Json::from(pool_gate_applied)),
-        ("pool_parity", Json::from(pb.parity)),
-        ("pool_pass", Json::from(pool_pass)),
         (
             "kernel_fast",
             obj(vec![
@@ -680,17 +581,14 @@ fn main() -> ExitCode {
                 ("pass", Json::from(fast_pass)),
             ]),
         ),
-        (
-            "pass",
-            Json::from(pass && kernel_pass && pool_pass && fast_pass),
-        ),
+        ("pass", Json::from(pass && kernel_pass && fast_pass)),
     ]);
     match std::fs::write("BENCH_train.json", report.render() + "\n") {
         Ok(()) => println!("wrote BENCH_train.json"),
         Err(e) => eprintln!("could not write BENCH_train.json: {e}"),
     }
 
-    if pass && embed_pass && kernel_pass && pool_pass && fast_pass {
+    if pass && embed_pass && kernel_pass && fast_pass {
         println!("PASS");
         ExitCode::SUCCESS
     } else {

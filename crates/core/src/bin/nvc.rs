@@ -51,8 +51,7 @@ const USAGE: &str = "usage:
 
 --matmul-threads shards the nvc-nn matmul kernels' output rows across N
 persistent pool workers (default: NVC_MATMUL_THREADS or 1); results are
-bitwise-identical at any value. NVC_MATMUL_POOL=0 falls back to scoped
-per-call threads.
+bitwise-identical at any value.
 --kernel-mode picks the kernel numeric contract (default: NVC_KERNEL_MODE,
 else `fast` for serve/hub and `strict` everywhere else): `strict` is
 bitwise-reproducible; `fast` runs FMA + k-split + online-softmax kernels

@@ -7,8 +7,6 @@
 //! the machine model, per-invocation call overhead and the scalar
 //! (non-loop) portion — behind one deterministic function.
 
-use serde::{Deserialize, Serialize};
-
 use nvc_datasets::Kernel;
 use nvc_frontend::parse_translation_unit;
 use nvc_ir::{lower_innermost_loops, LoweredLoop};
@@ -26,7 +24,7 @@ pub const CALL_OVERHEAD_CYCLES: f64 = 120.0;
 pub const SCALAR_IPC: f64 = 2.0;
 
 /// How the compiler should pick `(VF, IF)` for a loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LoopDecision {
     /// Let the baseline cost model decide (`-O3` default).
     Baseline,
@@ -35,7 +33,7 @@ pub enum LoopDecision {
 }
 
 /// Timing and compile-cost report for one loop nest.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoopReport {
     /// Function containing the loop.
     pub function: String,
@@ -50,7 +48,7 @@ pub struct LoopReport {
 }
 
 /// Whole-program result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProgramTiming {
     /// Total cycles per kernel invocation (loops + scalar work + call
     /// overhead).

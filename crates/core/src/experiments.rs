@@ -16,8 +16,6 @@
 //! | Figure 9 (MiBench) | [`fig9_mibench`] |
 //! | Headline numbers | [`headline_summary`] |
 
-use serde::{Deserialize, Serialize};
-
 use nvc_agents::{brute_force_best, DecisionTree, DecisionTreeConfig, NnsAgent, RandomAgent};
 use nvc_datasets::{eval, generator, mibench, polybench, suite, Kernel};
 use nvc_embed::PathSample;
@@ -40,7 +38,7 @@ use crate::framework::{NeuroVectorizer, NvConfig};
 /// 500k steps) runs for hours on the original Ray cluster; the `bench`
 /// scale keeps every qualitative result while fitting in minutes, and
 /// `smoke` exists for the test suite.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Scale {
     /// Number of generated training kernels.
     pub train_kernels: usize,
@@ -112,7 +110,7 @@ pub fn train_framework(scale: Scale) -> (NeuroVectorizer, VectorizeEnv, Vec<Iter
 
 /// Figure 1 data: kernel-level performance of every `(VF, IF)` on the
 /// §2.1 dot product, normalized to the baseline cost model's choice.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GridData {
     /// VF axis.
     pub vfs: Vec<u32>,
@@ -212,7 +210,7 @@ fn baseline_decision_of(compiler: &Compiler, kernel: &Kernel) -> VectorDecision 
 
 /// One suite entry: kernel name and the brute-force optimum normalized to
 /// the baseline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SuiteEntry {
     /// Kernel name.
     pub name: String,
@@ -252,7 +250,7 @@ pub fn fig2_bruteforce_suite(target: &TargetConfig) -> Vec<SuiteEntry> {
 // ---------------------------------------------------------------------
 
 /// A labelled learning curve.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepSeries {
     /// Legend label (e.g. "lr=5e-5").
     pub label: String,
@@ -323,7 +321,7 @@ pub fn fig6_action_spaces(scale: Scale) -> Vec<SweepSeries> {
 // ---------------------------------------------------------------------
 
 /// Per-method speedups over the baseline on each benchmark.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComparisonData {
     /// Benchmark names (rows).
     pub benchmarks: Vec<String>,
@@ -555,7 +553,7 @@ fn transfer_comparison(
 // ---------------------------------------------------------------------
 
 /// The abstract's headline numbers, measured.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Headline {
     /// Geomean RL speedup on the Figure-7 benchmarks (paper: 2.67×).
     pub rl_average: f64,
@@ -678,7 +676,7 @@ pub fn ext_ranker_comparison(
 }
 
 /// One row of the §3.4 reward-shaping ablation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShapingRow {
     /// Compile-time penalty weight.
     pub weight: f64,

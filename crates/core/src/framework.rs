@@ -8,7 +8,6 @@
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use nvc_embed::{extract_loop_samples, EmbedConfig, PathSample};
 use nvc_frontend::{inject_pragmas, FrontendError, LoopPragma};
@@ -21,7 +20,7 @@ use nvc_vectorizer::{ActionSpace, VectorDecision};
 use crate::env::VectorizeEnv;
 
 /// Top-level configuration for the framework.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NvConfig {
     /// Target machine description.
     pub target: TargetConfig,
@@ -37,11 +36,12 @@ pub struct NvConfig {
     /// Worker threads for the `nvc-nn` matmul family (`0`/`1` =
     /// single-threaded). Analogous to `ppo.collect_threads` one layer
     /// down: output rows of every `matmul`/`matmul_tn`/`matmul_nt` and
-    /// the fused `Graph::linear` shard across scoped threads with each
-    /// element's accumulation order untouched, so any thread count is
-    /// bitwise-identical to single-threaded — training, serving and the
-    /// hub all inherit the knob through [`NeuroVectorizer::new`], which
-    /// applies it process-wide (`nvc_nn::kernels::set_matmul_threads`).
+    /// the fused `Graph::linear` shard across the persistent kernel
+    /// worker pool with each element's accumulation order untouched, so
+    /// any thread count is bitwise-identical to single-threaded —
+    /// training, serving and the hub all inherit the knob through
+    /// [`NeuroVectorizer::new`], which applies it process-wide
+    /// (`nvc_nn::kernels::set_matmul_threads`).
     /// Defaults to the `NVC_MATMUL_THREADS` environment variable (or 1).
     pub matmul_threads: usize,
     /// Numeric contract of the `nvc-nn` kernels, applied process-wide by

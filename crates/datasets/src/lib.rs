@@ -28,13 +28,11 @@ pub mod mibench;
 pub mod polybench;
 pub mod suite;
 
-use serde::{Deserialize, Serialize};
-
 use nvc_ir::ParamEnv;
 
 /// One benchmark program: source text plus the runtime bindings needed to
 /// execute it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Kernel {
     /// Unique name.
     pub name: String,

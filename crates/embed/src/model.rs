@@ -2,8 +2,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use nvc_nn::{Graph, NodeId, ParamId, ParamStore, Segments, Tensor};
 
 use crate::vocab::PathSample;
@@ -28,7 +26,7 @@ impl std::fmt::Display for EmbedError {
 impl std::error::Error for EmbedError {}
 
 /// Hyperparameters of the embedding network.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EmbedConfig {
     /// Rows of the terminal-token embedding table.
     pub token_buckets: usize,
@@ -182,9 +180,9 @@ impl CodeEmbedder {
     /// projection is the flop-dominant matmul of the whole system, and
     /// the segmented layout makes it row-parallel: with
     /// `NvConfig::matmul_threads > 1` the `nvc-nn` kernel shards its
-    /// output rows across scoped threads (and runs 8-wide unrolled inner
-    /// loops) while keeping every row's accumulation order — and thus
-    /// bitwise parity — intact. The
+    /// output rows across the persistent kernel worker pool (and runs
+    /// 8-wide unrolled inner loops) while keeping every row's
+    /// accumulation order — and thus bitwise parity — intact. The
     /// segment kernels fix their reduction order per segment, so values
     /// *and* parameter gradients stay bitwise-identical to the
     /// per-sample spelling ([`CodeEmbedder::forward_batch_reference`],

@@ -15,7 +15,6 @@
 //! [`Fnv1a`] and so never allocates a token or path string.
 
 use nvc_frontend::ast::{Expr, ExprKind, Stmt, StmtKind};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 use crate::model::EmbedConfig;
@@ -23,7 +22,7 @@ use crate::vocab::{Fnv1a, PathSample};
 
 /// One leaf-to-leaf path context: `(start terminal, path string, end
 /// terminal)`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PathContext {
     /// Normalized token at the start leaf.
     pub start: String,

@@ -7,7 +7,6 @@
 //! table rows.
 
 use nvc_frontend::Stmt;
-use serde::{Deserialize, Serialize};
 
 use crate::model::EmbedConfig;
 use crate::paths::PathContext;
@@ -52,7 +51,7 @@ pub fn hash_token(s: &str) -> u64 {
 }
 
 /// A loop rendered as vocabulary indices, ready for the embedding network.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PathSample {
     /// Start-terminal rows into the token table.
     pub starts: Vec<usize>,

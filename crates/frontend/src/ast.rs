@@ -7,14 +7,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::lexer::Span;
 
 /// Scalar element types of the subset.
 ///
 /// Sizes follow the LP64 C data model the paper's testbed used.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Type {
     /// `void` — function returns only.
     Void,
@@ -121,7 +119,7 @@ impl fmt::Display for Type {
 }
 
 /// Binary operators of the subset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinaryOp {
     /// `+`
     Add,
@@ -201,7 +199,7 @@ impl BinaryOp {
 }
 
 /// Unary operators of the subset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UnaryOp {
     /// `-x`
     Neg,
@@ -223,7 +221,7 @@ impl UnaryOp {
 }
 
 /// An expression node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Expr {
     /// What kind of expression.
     pub kind: ExprKind,
@@ -232,7 +230,7 @@ pub struct Expr {
 }
 
 /// Expression kinds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ExprKind {
     /// Integer literal.
     IntLit(i64),
@@ -364,7 +362,7 @@ impl Expr {
 }
 
 /// A `#pragma clang loop vectorize_width(V) interleave_count(I)` hint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LoopPragma {
     /// Requested VF.
     pub vectorize_width: u32,
@@ -383,7 +381,7 @@ impl fmt::Display for LoopPragma {
 }
 
 /// A statement node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Stmt {
     /// What kind of statement.
     pub kind: StmtKind,
@@ -392,7 +390,7 @@ pub struct Stmt {
 }
 
 /// A single declarator in a declaration statement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Declarator {
     /// Variable name.
     pub name: String,
@@ -403,7 +401,7 @@ pub struct Declarator {
 }
 
 /// Statement kinds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum StmtKind {
     /// Local declaration, e.g. `int i = 0, j;`.
     Decl {
@@ -508,7 +506,7 @@ impl Stmt {
 }
 
 /// A function parameter.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Param {
     /// Element type.
     pub ty: Type,
@@ -519,7 +517,7 @@ pub struct Param {
 }
 
 /// A function definition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Function {
     /// Return type.
     pub return_ty: Type,
@@ -536,7 +534,7 @@ pub struct Function {
 }
 
 /// A file-scope variable (typically a statically sized array).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GlobalVar {
     /// Element type.
     pub ty: Type,
@@ -565,7 +563,7 @@ impl GlobalVar {
 }
 
 /// A top-level item.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Item {
     /// File-scope variable.
     Global(GlobalVar),
@@ -574,7 +572,7 @@ pub enum Item {
 }
 
 /// A parsed source file.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TranslationUnit {
     /// Items in declaration order.
     pub items: Vec<Item>,

@@ -9,13 +9,11 @@
 //!   which the authors found to work better than the innermost body alone
 //!   (§3.3).
 
-use serde::{Deserialize, Serialize};
-
 use crate::ast::{Function, LoopPragma, Stmt, StmtKind, TranslationUnit};
 use crate::lexer::Span;
 
 /// One loop found in a translation unit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExtractedLoop {
     /// Name of the enclosing function.
     pub function: String,

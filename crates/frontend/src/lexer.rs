@@ -14,13 +14,11 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::FrontendError;
 
 /// A half-open byte range into the original source, with the 1-based line
 /// number of its first byte.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Span {
     /// Byte offset of the first character.
     pub start: usize,

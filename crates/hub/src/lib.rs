@@ -60,8 +60,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use serde::{Deserialize, Serialize};
-
 use nvc_obs::{Counter, Gauge, MetricsRegistry};
 use nvc_serve::json::obj;
 use nvc_serve::{DecisionModel, Json, LoopReport, ServeConfig};
@@ -76,7 +74,7 @@ pub use registry::{ModelEntry, ModelRegistry, ModelSpec};
 pub use server::HubHandle;
 
 /// Tuning knobs for the hub tier (`NvConfig.hub`, `nvc hub` flags).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HubConfig {
     /// Address the TCP listener binds (`host:port`; port 0 lets the OS
     /// pick — tests and benches use this).
@@ -203,6 +201,9 @@ pub struct Hub {
     obs: Arc<MetricsRegistry>,
     /// Protocol requests handled (all verbs, all connections).
     requests: Arc<Counter>,
+    /// Requests answered `ok:false`: invalid or too-deep JSON, unknown
+    /// ops, missing fields, unknown models.
+    request_errors: Arc<Counter>,
     /// Connections accepted since start (maintained by the TCP layer).
     pub(crate) connections: Arc<Counter>,
     /// Connections currently open (maintained by the TCP layer).
@@ -239,6 +240,7 @@ impl Hub {
             loader: None,
             started: Instant::now(),
             requests: obs.counter("hub_requests_total"),
+            request_errors: obs.counter("hub_request_errors_total"),
             connections: obs.counter("hub_connections_total"),
             active_connections: obs.gauge("hub_active_connections"),
             cache_checkpoints: obs.counter("hub_cache_checkpoints_total"),
@@ -463,6 +465,7 @@ impl Hub {
                 Json::from(nvc_nn::kernels::kernel_mode().name()),
             ),
             ("requests", Json::from(self.requests.get())),
+            ("request_errors", Json::from(self.request_errors.get())),
             ("connections", Json::from(self.connections.get())),
             (
                 "active_connections",
@@ -536,6 +539,7 @@ impl Hub {
             obj(members).render()
         };
         let fail = |id: Option<&str>, e: String| {
+            self.request_errors.inc();
             (
                 with_id(
                     id,

@@ -10,13 +10,11 @@
 //!   strided and gather accesses very differently),
 //! * the cache/bandwidth model in `nvc-machine` (residency and reuse).
 
-use serde::{Deserialize, Serialize};
-
 use crate::types::ScalarType;
 
 /// How the address of an access moves as the innermost induction variable
 /// advances by one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// Consecutive elements: `a[i + c]`.
     Unit,
@@ -48,7 +46,7 @@ impl AccessKind {
 
 /// How the base address (the part not depending on the innermost induction
 /// variable) changes across iterations of the enclosing loops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OuterVariation {
     /// Same address range every time the innermost loop runs — the data has
     /// outer-loop temporal reuse (e.g. `B[k][j]` when `k` is an outer loop
@@ -60,7 +58,7 @@ pub enum OuterVariation {
 }
 
 /// Summary of one load or store site in the innermost loop body.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemAccess {
     /// Array (or pointer parameter) being accessed.
     pub array: String,

@@ -13,13 +13,11 @@
 //! conservatively (no vectorization), exactly as a production compiler
 //! falls back when its checks fail.
 
-use serde::{Deserialize, Serialize};
-
 use crate::access::{AccessKind, MemAccess};
 use crate::loop_ir::LoopIr;
 
 /// Why a pair of accesses constrains (or does not constrain) the VF.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PairVerdict {
     /// No dependence possible (different arrays, or disjoint residue
     /// classes like `b[2i]` vs `b[2i+1]`).
@@ -34,7 +32,7 @@ pub enum PairVerdict {
 }
 
 /// One analyzed access pair (store vs load/store on the same array).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DepPair {
     /// Array name.
     pub array: String,
@@ -47,7 +45,7 @@ pub struct DepPair {
 }
 
 /// Result of dependence analysis over a whole loop body.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DependenceSummary {
     /// Largest legal vectorization factor (always a power of two, ≥ 1).
     pub max_vf: u32,

@@ -2,13 +2,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::access::MemAccess;
 use crate::types::ScalarType;
 
 /// Index of an SSA value in a [`LoopIr`] body.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ValueId(pub u32);
 
 impl fmt::Display for ValueId {
@@ -18,7 +16,7 @@ impl fmt::Display for ValueId {
 }
 
 /// Binary operations of the IR.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinOpIr {
     /// Addition.
     Add,
@@ -43,7 +41,7 @@ pub enum BinOpIr {
 }
 
 /// Comparison predicates (produce `i1`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmpOp {
     /// `<`
     Lt,
@@ -60,7 +58,7 @@ pub enum CmpOp {
 }
 
 /// Unary operations of the IR.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UnOpIr {
     /// Arithmetic negation.
     Neg,
@@ -75,7 +73,7 @@ pub enum UnOpIr {
 /// Matching LLVM, integer reductions are always vectorizable; floating-point
 /// sum/product reductions assume fast-math-style reassociation (the paper's
 /// kernels are compiled that way — see DESIGN.md).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReductionKind {
     /// `s += x` (also `s -= x`).
     Sum,
@@ -94,7 +92,7 @@ pub enum ReductionKind {
 }
 
 /// A recognized reduction over a scalar accumulator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Reduction {
     /// Accumulator variable name.
     pub var: String,
@@ -106,7 +104,7 @@ pub struct Reduction {
 
 /// One IR instruction. Instructions are in program order; operands always
 /// refer to earlier instructions (SSA).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Instr {
     /// Integer or float constant.
     Const {
@@ -255,7 +253,7 @@ impl Instr {
 }
 
 /// Trip count of a loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TripCount {
     /// Known at compile time.
     Constant(u64),
@@ -280,14 +278,14 @@ impl TripCount {
 }
 
 /// An enclosing loop of the innermost loop, outermost first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct OuterLoopInfo {
     /// Number of iterations the enclosing loop executes.
     pub trip: u64,
 }
 
 /// The IR of one innermost loop, ready for vectorization analysis.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoopIr {
     /// Induction variable name.
     pub ind_var: String,

@@ -17,8 +17,6 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-use serde::{Deserialize, Serialize};
-
 use nvc_frontend::ast::{
     BinaryOp, Expr, ExprKind, Function, Stmt, StmtKind, TranslationUnit, UnaryOp,
 };
@@ -33,7 +31,7 @@ use crate::types::ScalarType;
 use crate::IrError;
 
 /// A lowered innermost loop together with its source coordinates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoweredLoop {
     /// The loop IR.
     pub ir: LoopIr,

@@ -2,8 +2,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::lower::LoweredLoop;
 use crate::types::ScalarType;
 
@@ -16,7 +14,7 @@ use crate::types::ScalarType;
 /// while the IR still records the bound as [`crate::TripCount::Runtime`] so
 /// the *compiler-side* decisions (baseline cost model, remainder handling)
 /// see exactly what LLVM would see.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ParamEnv {
     values: BTreeMap<String, i64>,
     array_sizes: BTreeMap<String, u64>,
@@ -69,7 +67,7 @@ impl ParamEnv {
 }
 
 /// Shape and placement information for one array referenced by a kernel.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArrayInfo {
     /// Array name.
     pub name: String,
@@ -91,7 +89,7 @@ pub struct ArrayInfo {
 /// outside loops; `scalar_work` models that portion so end-to-end program
 /// speedups stay modest even when loops vectorize well, reproducing the
 /// ~1.1× average of Figure 9.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProgramIr {
     /// Program name (for reports).
     pub name: String,

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use nvc_frontend::Type;
 
 /// Machine-level scalar type of an IR value.
@@ -12,7 +10,7 @@ use nvc_frontend::Type;
 /// signed and unsigned integers identically (as LLVM's cost tables largely
 /// do), while element *width* matters a great deal — it determines how many
 /// lanes fit a vector register.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ScalarType {
     /// 1-bit predicate (comparison results, masks).
     I1,

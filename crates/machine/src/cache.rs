@@ -7,12 +7,10 @@
 //! (§4.1). This module decides, per stream, which level of the hierarchy
 //! feeds it.
 
-use serde::{Deserialize, Serialize};
-
 use crate::target::TargetConfig;
 
 /// Which level of the hierarchy serves a stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum CacheLevel {
     /// First-level data cache.
     L1,
@@ -46,7 +44,7 @@ impl CacheLevel {
 }
 
 /// Spatial pattern of a stream, for bandwidth accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StreamPattern {
     /// Dense unit-stride traffic.
     Contiguous,
@@ -58,7 +56,7 @@ pub enum StreamPattern {
 }
 
 /// One memory stream of a vectorized loop, as seen by the machine model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemStream {
     /// Bytes transferred per vector block (including over-fetch for strided
     /// patterns).

@@ -22,13 +22,11 @@
 //! fill, runtime trip-count guards, scalar remainder iterations, horizontal
 //! reduction tails and register-spill traffic.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cache::{assign_residency, MemStream, StreamPattern};
 use crate::target::{ResourceClass, TargetConfig};
 
 /// A group of identical micro-ops within one block.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UopBundle {
     /// Executing resource.
     pub class: ResourceClass,
@@ -51,7 +49,7 @@ impl UopBundle {
 }
 
 /// A loop-carried recurrence (one per reduction).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Recurrence {
     /// Latency of the combining operation (e.g. 4 cycles for an FP add).
     pub op_latency: f64,
@@ -59,7 +57,7 @@ pub struct Recurrence {
 
 /// Everything the machine model needs to time one innermost loop under a
 /// particular vectorization decision. Built by `nvc-vectorizer`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoopShape {
     /// Whole vector blocks executed per innermost-loop execution.
     pub blocks: u64,
@@ -86,7 +84,7 @@ pub struct LoopShape {
 }
 
 /// What limited the loop's throughput.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Bottleneck {
     /// Execution-port pressure.
     Ports,
@@ -101,7 +99,7 @@ pub enum Bottleneck {
 }
 
 /// Timing result for one innermost-loop execution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoopTiming {
     /// Total cycles per innermost-loop execution.
     pub cycles: f64,

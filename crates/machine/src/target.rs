@@ -1,10 +1,8 @@
 //! Target machine description.
 
-use serde::{Deserialize, Serialize};
-
 /// Execution resource classes. Each maps to a number of ports on the target
 /// (see [`PortCounts`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ResourceClass {
     /// Vector integer/float ALU (add, sub, compare, blend, shuffle, logic).
     VAlu,
@@ -33,7 +31,7 @@ impl ResourceClass {
 }
 
 /// Number of issue ports per resource class.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PortCounts {
     /// Vector ALU ports.
     pub valu: f64,
@@ -64,7 +62,7 @@ impl PortCounts {
 }
 
 /// One level of the memory hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheSpec {
     /// Capacity in bytes.
     pub capacity: u64,
@@ -75,7 +73,7 @@ pub struct CacheSpec {
 }
 
 /// Full description of the modelled CPU.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TargetConfig {
     /// Human-readable name.
     pub name: String,

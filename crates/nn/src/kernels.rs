@@ -25,14 +25,12 @@
 //!
 //! * **Row sharding** ([`run_row_sharded`]): the output rows are split
 //!   into contiguous shards, executed by the persistent worker pool
-//!   ([`pool`]) — or by one `std::thread::scope` worker per shard when
-//!   the pool is disabled ([`set_matmul_pool`], `NVC_MATMUL_POOL=0`).
-//!   Every output row of `A·B`, `Aᵀ·B` and `A·Bᵀ` depends only on whole
-//!   input rows and is reduced independently, so any shard assignment —
-//!   any thread count, either driver — produces the single-threaded
-//!   bits. (Splitting the reduction dimension `k` instead would need
-//!   per-thread partials whose combination reassociates the sum; that is
-//!   why only rows are split.)
+//!   ([`pool`]). Every output row of `A·B`, `Aᵀ·B` and `A·Bᵀ` depends
+//!   only on whole input rows and is reduced independently, so any shard
+//!   assignment — any thread count, any worker claiming any shard —
+//!   produces the single-threaded bits. (Splitting the reduction
+//!   dimension `k` instead would need per-thread partials whose
+//!   combination reassociates the sum; that is why only rows are split.)
 //! * **8-wide unrolling** ([`mm_rows`], [`tn_rows`], [`nt_rows`]): the
 //!   inner loops run over blocks of 8 *independent* output accumulators
 //!   (manual `f32x8`-style register blocks — no unstable `std::simd`, no
@@ -46,9 +44,7 @@
 //! on it (e.g. two models configured differently) can change how fast an
 //! answer arrives, never which answer arrives. Small products stay
 //! single-threaded via a work floor ([`set_matmul_grain`]) so the
-//! handoff never costs more than it saves — with the pool that handoff
-//! is a condvar wake instead of a thread spawn, which is why the
-//! default floor is far lower than it was under the scoped driver.
+//! pool's condvar handoff never costs more than it saves.
 
 pub mod fast;
 pub mod pool;
@@ -59,7 +55,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 const UNSET: usize = usize::MAX;
 
 /// Numeric contract of the deployed kernels — see the module docs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum KernelMode {
     /// Bitwise-parity kernels: ascending-`k` accumulation, rows-only
     /// sharding, no `mul_add`. Identical bits at any thread count.
@@ -106,7 +102,7 @@ static MODE: AtomicUsize = AtomicUsize::new(UNSET);
 static THREADS: AtomicUsize = AtomicUsize::new(UNSET);
 
 /// Minimum multiply-adds per *additional* worker.
-static GRAIN: AtomicUsize = AtomicUsize::new(UNSET);
+static GRAIN: AtomicUsize = AtomicUsize::new(DEFAULT_MATMUL_GRAIN);
 
 /// Failure-injection hook: worker row / total-row marker (tests only).
 static PANIC_ROW: AtomicUsize = AtomicUsize::new(usize::MAX);
@@ -114,14 +110,9 @@ static PANIC_ROWS_TOTAL: AtomicUsize = AtomicUsize::new(usize::MAX);
 
 /// Default work floor: a worker is only added once it has at least this
 /// many multiply-adds to itself (~a microsecond of FLOPs — the same
-/// order as the pool's condvar handoff). The floor used to be 96·1024
-/// when every threaded product paid a full scoped spawn; the persistent
-/// pool made mid-sized products (the 64×340·340×64 policy layers)
-/// profitable to shard, so it dropped.
+/// order as the pool's condvar handoff), so mid-sized products (the
+/// 64×340·340×64 policy layers) shard while tiny ones stay serial.
 pub const DEFAULT_MATMUL_GRAIN: usize = 16 * 1024;
-
-/// Pool-mode switch sentinel/values (`UNSET` → read `NVC_MATMUL_POOL`).
-static POOL_MODE: AtomicUsize = AtomicUsize::new(UNSET);
 
 fn env_usize(name: &str) -> Option<usize> {
     std::env::var(name).ok()?.trim().parse().ok()
@@ -153,47 +144,15 @@ pub fn set_matmul_threads(n: usize) {
     THREADS.store(n.max(1), Ordering::Relaxed);
 }
 
-/// Current work floor in multiply-adds per additional worker
-/// (`NVC_MATMUL_GRAIN` overrides the default).
+/// Current work floor in multiply-adds per additional worker.
 pub fn matmul_grain() -> usize {
-    match GRAIN.load(Ordering::Relaxed) {
-        UNSET => {
-            let v = env_usize("NVC_MATMUL_GRAIN")
-                .unwrap_or(DEFAULT_MATMUL_GRAIN)
-                .max(1);
-            GRAIN.store(v, Ordering::Relaxed);
-            v
-        }
-        v => v,
-    }
+    GRAIN.load(Ordering::Relaxed)
 }
 
 /// Sets the work floor (multiply-adds per additional worker). Benches and
 /// parity tests set `1` to force sharding on deliberately tiny shapes.
 pub fn set_matmul_grain(madds: usize) {
     GRAIN.store(madds.max(1), Ordering::Relaxed);
-}
-
-/// Whether threaded shards run on the persistent worker pool (default)
-/// or on per-call `std::thread::scope` workers. `NVC_MATMUL_POOL=0`
-/// selects the scoped driver; the bitwise contract makes the two
-/// interchangeable, so the switch is only a perf A/B lever.
-pub fn matmul_pool() -> bool {
-    match POOL_MODE.load(Ordering::Relaxed) {
-        UNSET => {
-            let v = env_usize("NVC_MATMUL_POOL").map_or(true, |v| v != 0);
-            POOL_MODE.store(v as usize, Ordering::Relaxed);
-            v
-        }
-        v => v != 0,
-    }
-}
-
-/// Selects the shard driver: `true` = persistent pool, `false` = scoped
-/// spawns. Benches flip this to A/B the handoff cost; results are
-/// bitwise-identical either way.
-pub fn set_matmul_pool(on: bool) {
-    POOL_MODE.store(on as usize, Ordering::Relaxed);
 }
 
 /// The mode `NVC_KERNEL_MODE` asks for ([`KernelMode::Strict`] when unset
@@ -262,10 +221,9 @@ pub(crate) fn k_split_shards(rows: usize, kd: usize, madds: usize) -> Option<usi
 /// `k` window, each window accumulating the full `m × n` output into its
 /// own zeroed partial buffer, then combines the partials into `out` in
 /// ascending window order on the caller. The shard list goes through the
-/// same [`run_spans`] tail as row sharding, so the pool and the scoped
-/// driver execute identical `k`-split work — including identical panic
-/// semantics (the injection marker stays the *output* row count `m`; an
-/// armed "row" index is interpreted as a `k` index here).
+/// same pool driver as row sharding, with the same panic semantics (the
+/// injection marker stays the *output* row count `m`; an armed "row"
+/// index is interpreted as a `k` index here).
 pub(crate) fn run_mm_k_split(
     shards: usize,
     m: usize,
@@ -276,25 +234,37 @@ pub(crate) fn run_mm_k_split(
 ) {
     debug_assert_eq!(out.len(), m * n);
     debug_assert!(shards >= 2 && shards <= kd);
-    let per = kd.div_ceil(shards);
-    let nwin = kd.div_ceil(per);
-    let mut partials = vec![0.0f32; nwin * m * n];
-    let mut spans = Vec::with_capacity(nwin);
-    let mut rest = partials.as_mut_slice();
-    let mut k0 = 0;
-    while k0 < kd {
-        let k1 = (k0 + per).min(kd);
-        let (window, tail) = rest.split_at_mut(m * n);
-        rest = tail;
-        spans.push((k0, k1, window));
-        k0 = k1;
-    }
-    run_spans(spans, m, kernel);
+    let windows = kd.div_ceil(kd.div_ceil(shards));
+    let mut partials = vec![0.0f32; windows * m * n];
+    pool::run_spans(k_spans(shards, kd, m * n, &mut partials), m, kernel);
     for window in partials.chunks_exact(m * n) {
         for (o, &p) in out.iter_mut().zip(window.iter()) {
             *o += p;
         }
     }
+}
+
+/// One shard of a sharded product: `(lo, hi, window)` — the half-open
+/// row, segment or `k` range a kernel call covers and the disjoint output
+/// window it writes.
+pub(crate) type Span<'a> = (usize, usize, &'a mut [f32]);
+
+/// The `k` windows of a `shards`-way split of a `kd`-deep reduction, each
+/// owning one `len`-element partial of `partials` (one window per
+/// partial, in ascending `k`).
+pub(crate) fn k_spans(shards: usize, kd: usize, len: usize, partials: &mut [f32]) -> Vec<Span<'_>> {
+    let per = kd.div_ceil(shards);
+    let mut spans = Vec::with_capacity(kd.div_ceil(per));
+    let mut rest = partials;
+    let mut k0 = 0;
+    while k0 < kd {
+        let k1 = (k0 + per).min(kd);
+        let (window, tail) = rest.split_at_mut(len);
+        rest = tail;
+        spans.push((k0, k1, window));
+        k0 = k1;
+    }
+    spans
 }
 
 /// Arms the failure-injection hook: the shard owning `row` panics, but
@@ -326,12 +296,11 @@ fn check_injected_panic(r0: usize, r1: usize, rows_total: usize) {
 /// `rows × cols` row-major buffer.
 ///
 /// With `threads <= 1` the kernel runs on the calling thread. Otherwise
-/// the shard list goes to the persistent worker pool ([`pool::run`]) or,
-/// when [`matmul_pool`] is off, to one `std::thread::scope` worker per
-/// shard. Both drivers execute the identical shard list and both make a
-/// panicking shard re-panic on the caller only after every shard has
-/// been accounted for — a dead shard can neither hang the product nor
-/// let a half-written output escape as if it were complete.
+/// the shard list goes to the persistent worker pool
+/// ([`pool::run_spans`]), which makes a panicking shard re-panic on the
+/// caller only after every shard has been accounted for — a dead shard
+/// can neither hang the product nor let a half-written output escape as
+/// if it were complete.
 pub(crate) fn run_row_sharded(
     threads: usize,
     rows: usize,
@@ -345,6 +314,17 @@ pub(crate) fn run_row_sharded(
         kernel(0, rows, out);
         return;
     }
+    pool::run_spans(row_spans(threads, rows, cols, out), rows, kernel);
+}
+
+/// Contiguous whole-row shards of a `rows × cols` row-major buffer, at
+/// most `threads` of them.
+pub(crate) fn row_spans(
+    threads: usize,
+    rows: usize,
+    cols: usize,
+    out: &mut [f32],
+) -> Vec<Span<'_>> {
     let per_shard = rows.div_ceil(threads);
     let mut spans = Vec::with_capacity(threads);
     let mut rest = out;
@@ -356,7 +336,7 @@ pub(crate) fn run_row_sharded(
         spans.push((r0, r1, shard));
         r0 = r1;
     }
-    run_spans(spans, rows, kernel);
+    spans
 }
 
 /// Runs `kernel(s0, s1, segments_slice)` over shards of whole *segments*
@@ -380,6 +360,23 @@ pub(crate) fn run_segment_sharded(
         kernel(0, nsegs, out);
         return;
     }
+    pool::run_spans(
+        segment_spans(threads, bounds, cols, out),
+        rows_total,
+        kernel,
+    );
+}
+
+/// Shards of whole segments balanced by row count, at most about
+/// `threads` of them (see [`run_segment_sharded`]).
+pub(crate) fn segment_spans<'a>(
+    threads: usize,
+    bounds: &[(usize, usize)],
+    cols: usize,
+    out: &'a mut [f32],
+) -> Vec<Span<'a>> {
+    let nsegs = bounds.len();
+    let rows_total = bounds.last().map_or(0, |&(_, r1)| r1);
     let target = rows_total.div_ceil(threads).max(1);
     let mut spans = Vec::with_capacity(threads);
     let mut rest = out;
@@ -395,47 +392,7 @@ pub(crate) fn run_segment_sharded(
         spans.push((s0, s1, shard));
         s0 = s1;
     }
-    run_spans(spans, rows_total, kernel);
-}
-
-/// Executes an explicit shard list (disjoint windows of one output
-/// buffer) on the persistent pool, or on one scoped worker per shard
-/// when [`matmul_pool`] is off — the shared tail of both sharding
-/// geometries. Both drivers run the identical list and both surface a
-/// shard panic on the caller only after every shard is accounted for.
-fn run_spans(
-    spans: Vec<(usize, usize, &mut [f32])>,
-    marker: usize,
-    kernel: &(dyn Fn(usize, usize, &mut [f32]) + Sync),
-) {
-    if matmul_pool() {
-        pool::run_spans(spans, marker, kernel);
-        return;
-    }
-    // Explicit joins (not the scope's implicit one) so the first
-    // worker's panic payload resurfaces on the caller *verbatim* —
-    // identical semantics to the pool driver's handoff.
-    let panic = std::thread::scope(|scope| {
-        let handles: Vec<_> = spans
-            .into_iter()
-            .map(|(lo, hi, slice)| {
-                scope.spawn(move || {
-                    check_injected_panic(lo, hi, marker);
-                    kernel(lo, hi, slice);
-                })
-            })
-            .collect();
-        let mut panic = None;
-        for h in handles {
-            if let Err(payload) = h.join() {
-                panic.get_or_insert(payload);
-            }
-        }
-        panic
-    });
-    if let Some(payload) = panic {
-        std::panic::resume_unwind(payload);
-    }
+    spans
 }
 
 /// `out_rows (+)= a[r0..r1] × b` for an `m×kd · kd×n` product:
@@ -751,7 +708,7 @@ mod tests {
         // A different total row count is untouched.
         let mut out = vec![0.0f32; 4 * 2];
         run_row_sharded(2, 4, 2, &mut out, &|_, _, _| {});
-        // The marked one panics (and the scope joins, so no hang).
+        // The marked one panics (and the pool joins, so no hang).
         let hit = std::panic::catch_unwind(|| {
             let mut out = vec![0.0f32; 251 * 2];
             run_row_sharded(3, 251, 2, &mut out, &|_, _, _| {});

@@ -1,33 +1,32 @@
-//! Lazily-started persistent worker pool behind [`run_row_sharded`].
+//! Lazily-started persistent worker pool: the one driver behind every
+//! threaded kernel ([`run_row_sharded`](super::run_row_sharded), the
+//! segment sharder and fast-mode `k`-splitting).
 //!
-//! The scoped driver pays a full `std::thread::scope` spawn + join per
-//! threaded product (~tens of µs — the reason the `set_matmul_grain`
-//! work floor had to be as coarse as it was). This pool replaces that
-//! per-call cost with a condvar handoff to workers that live for the
-//! rest of the process:
+//! Workers live for the rest of the process and take shards through a
+//! condvar handoff, so a threaded product costs a wake-up, not a thread
+//! spawn:
 //!
 //! * **Same shards, same bits.** The pool executes exactly the shard
-//!   list the scoped path would have built — contiguous whole-row
-//!   shards, each reduced in ascending `k` by the kernel itself — so
-//!   the bitwise-parity contract of the module carries over verbatim.
-//!   Which thread runs which shard is a scheduling detail; shard
-//!   *contents* never depend on it.
+//!   list it is handed — contiguous whole-row shards, each reduced in
+//!   ascending `k` by the kernel itself — so its output is bitwise equal
+//!   to running that list serially on the caller. Which thread runs
+//!   which shard is a scheduling detail; shard *contents* never depend
+//!   on it.
 //! * **Caller participates.** The submitting thread claims shards from
 //!   the same atomic cursor as the workers, so a product makes progress
 //!   even before the first worker has woken (and the pool can never
 //!   deadlock a caller: with zero workers the caller simply runs every
 //!   shard itself).
-//! * **Scoped panic semantics.** A panicking shard is caught in place,
-//!   its payload parked on the job, and the remaining shards still run
-//!   to completion — then the *caller* re-panics with the original
-//!   payload after the handoff, exactly like `std::thread::scope`'s
-//!   join does. A poisoned product therefore never returns normally and
-//!   never reaches the autodiff tape.
-//! * **Lazy + pinned.** No thread exists until the first threaded
-//!   product; the pool then grows to the largest shard count it has
-//!   seen (capped). With `NVC_PIN_WORKERS=1` each worker pins itself to
-//!   CPU `(index + 1) % ncpus` via `sched_setaffinity` (Linux;
-//!   elsewhere the knob is a no-op).
+//! * **Panics resurface after the join.** A panicking shard is caught in
+//!   place, its payload parked on the job, and the remaining shards
+//!   still run to completion — then the *caller* re-panics with the
+//!   original payload. A poisoned product therefore never returns
+//!   normally and never reaches the autodiff tape.
+//! * **Lazy, grown before enqueueing.** No thread exists until the first
+//!   threaded product; the pool then grows to the largest shard count it
+//!   has seen (capped). Growth happens before the job is queued, and a
+//!   refused spawn only stops the growth: the caller still runs every
+//!   unclaimed shard, and no queued job can outlive its caller's frame.
 //!
 //! Concurrent submitters (serve workers, rollout shards) enqueue
 //! independent jobs; workers drain the queue FIFO, stealing shards
@@ -36,10 +35,12 @@
 use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+#[cfg(test)]
+use std::sync::atomic::AtomicBool;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
-use super::check_injected_panic;
+use super::{check_injected_panic, Span};
 
 /// Hard cap on pool size; `effective_threads` caps shard counts far
 /// below this in practice, the constant only bounds a hostile
@@ -138,9 +139,9 @@ fn pool() -> &'static Pool {
 }
 
 /// Number of pool workers spawned so far (0 until the first threaded
-/// product — the pool is lazy). Test/diagnostic hook.
-#[doc(hidden)]
-pub fn worker_count() -> usize {
+/// product — the pool is lazy).
+#[cfg(test)]
+fn worker_count() -> usize {
     pool()
         .state
         .lock()
@@ -148,31 +149,23 @@ pub fn worker_count() -> usize {
         .workers
 }
 
-#[cfg(target_os = "linux")]
-fn pin_to_cpu(cpu: usize) {
-    extern "C" {
-        fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
+/// Test hook: while set, every worker spawn fails as if the OS had
+/// refused the thread.
+#[cfg(test)]
+static FAIL_SPAWNS: AtomicBool = AtomicBool::new(false);
+
+fn spawn_worker(index: usize) -> std::io::Result<()> {
+    #[cfg(test)]
+    if FAIL_SPAWNS.load(Ordering::Relaxed) {
+        return Err(std::io::Error::other("injected spawn failure"));
     }
-    let mut mask = [0u64; 16]; // cpu_set_t: 1024 bits
-    mask[(cpu / 64) % 16] |= 1 << (cpu % 64);
-    // Best-effort: a failure (exotic cgroup mask, cpu offline) only
-    // loses the affinity hint, never correctness.
-    unsafe { sched_setaffinity(0, std::mem::size_of_val(&mask), mask.as_ptr()) };
+    std::thread::Builder::new()
+        .name(format!("nvc-kpool-{index}"))
+        .spawn(worker_loop)
+        .map(drop)
 }
 
-#[cfg(not(target_os = "linux"))]
-fn pin_to_cpu(_cpu: usize) {}
-
-fn pin_workers() -> bool {
-    static PIN: OnceLock<bool> = OnceLock::new();
-    *PIN.get_or_init(|| std::env::var("NVC_PIN_WORKERS").map(|v| v.trim() == "1") == Ok(true))
-}
-
-fn worker_loop(index: usize) {
-    if pin_workers() {
-        let ncpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-        pin_to_cpu((index + 1) % ncpus);
-    }
+fn worker_loop() {
     let p = pool();
     let mut st = p.state.lock().unwrap_or_else(|e| e.into_inner());
     loop {
@@ -193,12 +186,12 @@ fn worker_loop(index: usize) {
     }
 }
 
-/// Pool-backed equivalent of the scoped span driver: identical shard
-/// list, identical per-shard kernel invocation, condvar handoff instead
-/// of per-call spawns. `marker` is the failure-injection marker the
-/// shards check against (total row count for both sharding geometries).
+/// Runs an explicit shard list (disjoint windows of one output buffer)
+/// on the pool and the caller, returning once every shard is done.
+/// `marker` is the failure-injection marker the shards check against
+/// (the product's total output row count).
 pub(crate) fn run_spans(
-    spans: Vec<(usize, usize, &mut [f32])>,
+    spans: Vec<Span<'_>>,
     marker: usize,
     kernel: &(dyn Fn(usize, usize, &mut [f32]) + Sync),
 ) {
@@ -230,17 +223,17 @@ pub(crate) fn run_spans(
     let p = pool();
     {
         let mut st = p.state.lock().unwrap_or_else(|e| e.into_inner());
-        st.queue.push_back(Arc::clone(&job));
         // Helpers beyond the caller itself; grow lazily, never shrink.
+        // A refused spawn stops the growth but not the product: the
+        // caller claims shards too, so the job completes on the workers
+        // already running. Growing before the push means nothing can
+        // unwind out of here with the job (and its `ctx` pointer into
+        // this frame) left on the queue.
         let wanted = (job.shards - 1).min(MAX_WORKERS);
-        while st.workers < wanted {
-            let index = st.workers;
-            std::thread::Builder::new()
-                .name(format!("nvc-kpool-{index}"))
-                .spawn(move || worker_loop(index))
-                .expect("spawn kernel pool worker");
+        while st.workers < wanted && spawn_worker(st.workers).is_ok() {
             st.workers += 1;
         }
+        st.queue.push_back(Arc::clone(&job));
         p.work_cv.notify_all();
     }
 
@@ -270,35 +263,24 @@ pub(crate) fn run_spans(
 #[cfg(test)]
 mod tests {
     use super::super::{
-        clear_worker_panic, inject_worker_panic, run_row_sharded, set_matmul_pool, KNOB_LOCK,
+        clear_worker_panic, inject_worker_panic, k_spans, row_spans, segment_spans,
     };
     use super::*;
 
-    /// Row spans exactly as `run_row_sharded` would cut them.
-    fn row_spans(
-        threads: usize,
-        rows: usize,
-        cols: usize,
-        out: &mut [f32],
-    ) -> Vec<(usize, usize, &mut [f32])> {
-        let per_shard = rows.div_ceil(threads);
-        let mut spans = Vec::new();
-        let mut rest = out;
-        let mut r0 = 0;
-        while r0 < rows {
-            let r1 = (r0 + per_shard).min(rows);
-            let (shard, tail) = rest.split_at_mut((r1 - r0) * cols);
-            rest = tail;
-            spans.push((r0, r1, shard));
-            r0 = r1;
+    /// The oracle every pool run is held to: the same shard list, run
+    /// serially on the caller in list order.
+    fn run_serially(spans: Vec<Span<'_>>, kernel: &(dyn Fn(usize, usize, &mut [f32]) + Sync)) {
+        for (lo, hi, window) in spans {
+            kernel(lo, hi, window);
         }
-        spans
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]
     fn caller_alone_finishes_a_job_and_pool_stays_bounded() {
-        // Submitting through `run_spans` directly (not the mode switch)
-        // so the assertion is about the pool itself.
         let rows = 6;
         let cols = 4;
         let mut out = vec![0.0f32; rows * cols];
@@ -315,28 +297,68 @@ mod tests {
         assert!(worker_count() <= MAX_WORKERS);
     }
 
+    /// Row shards, segment shards and `k`-split windows: the pool's
+    /// output is bitwise equal to the serial run of the same list, with
+    /// kernels whose float results would expose any shard running twice,
+    /// out of place or against the wrong window.
     #[test]
-    fn pool_and_scoped_modes_produce_identical_bits() {
-        let _guard = KNOB_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let rows = 17;
+    fn pool_output_matches_the_serial_shard_oracle() {
         let cols = 5;
-        let kernel = |r0: usize, r1: usize, slice: &mut [f32]| {
-            for i in r0..r1 {
+        let fill = |lo: usize, hi: usize, slice: &mut [f32]| {
+            for i in lo..hi {
                 for c in 0..cols {
-                    slice[(i - r0) * cols + c] = ((i * 31 + c) as f32).sin();
+                    slice[(i - lo) * cols + c] += ((i * 31 + c) as f32).sin();
                 }
             }
         };
-        let mut pooled = vec![0.0f32; rows * cols];
-        set_matmul_pool(true);
-        run_row_sharded(4, rows, cols, &mut pooled, &kernel);
-        let mut scoped = vec![0.0f32; rows * cols];
-        set_matmul_pool(false);
-        run_row_sharded(4, rows, cols, &mut scoped, &kernel);
-        set_matmul_pool(true);
-        let pb: Vec<u32> = pooled.iter().map(|v| v.to_bits()).collect();
-        let sb: Vec<u32> = scoped.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(pb, sb, "pool and scoped drivers must be bitwise equal");
+        let rows = 17;
+        let mut pooled = vec![0.5f32; rows * cols];
+        run_spans(row_spans(4, rows, cols, &mut pooled), rows, &fill);
+        let mut serial = vec![0.5f32; rows * cols];
+        run_serially(row_spans(4, rows, cols, &mut serial), &fill);
+        assert_eq!(bits(&pooled), bits(&serial), "row shards");
+
+        // Ragged segments (including an empty one); each segment's rows
+        // are scaled by a per-segment factor, so a window landing on the
+        // wrong segment changes bits.
+        let lens = [3usize, 0, 7, 1, 9, 4, 2];
+        let mut bounds = Vec::new();
+        let mut r = 0;
+        for len in lens {
+            bounds.push((r, r + len));
+            r += len;
+        }
+        let seg = |s0: usize, s1: usize, slice: &mut [f32]| {
+            let base = bounds[s0].0;
+            for (s, &(r0, r1)) in bounds.iter().enumerate().take(s1).skip(s0) {
+                for i in r0..r1 {
+                    for c in 0..cols {
+                        slice[(i - base) * cols + c] += ((i + c) as f32).cos() * (s + 1) as f32;
+                    }
+                }
+            }
+        };
+        let mut pooled = vec![0.0f32; r * cols];
+        run_spans(segment_spans(3, &bounds, cols, &mut pooled), r, &seg);
+        let mut serial = vec![0.0f32; r * cols];
+        run_serially(segment_spans(3, &bounds, cols, &mut serial), &seg);
+        assert_eq!(bits(&pooled), bits(&serial), "segment shards");
+
+        // k-split windows: each window accumulates its k range into its
+        // own partial, in ascending k.
+        let (len, kd) = (6usize, 23usize);
+        let window = |k0: usize, k1: usize, partial: &mut [f32]| {
+            for k in k0..k1 {
+                for (j, p) in partial.iter_mut().enumerate() {
+                    *p += ((k * 7 + j) as f32 * 0.37).sin();
+                }
+            }
+        };
+        let mut pooled = vec![0.0f32; 4 * len];
+        run_spans(k_spans(4, kd, len, &mut pooled), len, &window);
+        let mut serial = vec![0.0f32; 4 * len];
+        run_serially(k_spans(4, kd, len, &mut serial), &window);
+        assert_eq!(bits(&pooled), bits(&serial), "k-split windows");
     }
 
     #[test]
@@ -345,8 +367,7 @@ mod tests {
         inject_worker_panic(1, 263);
         let hit = std::panic::catch_unwind(|| {
             let mut out = vec![0.0f32; 263 * 2];
-            let spans = row_spans(3, 263, 2, &mut out);
-            run_spans(spans, 263, &|_, _, _| {});
+            run_spans(row_spans(3, 263, 2, &mut out), 263, &|_, _, _| {});
         });
         clear_worker_panic();
         let payload = hit.expect_err("armed shard must re-panic on the caller");
@@ -360,12 +381,52 @@ mod tests {
         );
         // The pool survives a poisoned job: the next product is clean.
         let mut out = vec![0.0f32; 263 * 2];
-        let spans = row_spans(3, 263, 2, &mut out);
-        run_spans(spans, 263, &|r0, r1, s| {
+        run_spans(row_spans(3, 263, 2, &mut out), 263, &|r0, r1, s| {
             for v in s.iter_mut() {
                 *v = (r0 + r1) as f32;
             }
         });
         assert!(out.iter().all(|&v| v != 0.0));
+    }
+
+    /// A refused worker spawn neither panics the caller nor loses a
+    /// shard: the pool keeps the workers it has and the caller runs what
+    /// they do not claim. Concurrent tests in this binary only see their
+    /// own products skip growing while the switch is set.
+    #[test]
+    fn refused_spawns_leave_the_job_to_the_running_workers() {
+        FAIL_SPAWNS.store(true, Ordering::Relaxed);
+        let before = worker_count();
+        // More shards than the running workers plus the caller, so the
+        // job asks for growth that is refused.
+        let rows = before + 3;
+        let cols = 2;
+        let mut out = vec![0.0f32; rows * cols];
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            run_spans(
+                row_spans(rows, rows, cols, &mut out),
+                rows,
+                &|r0, r1, slice| {
+                    for i in r0..r1 {
+                        slice[(i - r0) * cols] += i as f32 + 1.0;
+                        slice[(i - r0) * cols + 1] += 1.0;
+                    }
+                },
+            );
+        }));
+        let after = worker_count();
+        FAIL_SPAWNS.store(false, Ordering::Relaxed);
+        assert!(
+            outcome.is_ok(),
+            "a refused spawn must not unwind the caller"
+        );
+        assert_eq!(
+            after, before,
+            "no worker may be counted for a refused spawn"
+        );
+        for i in 0..rows {
+            assert_eq!(out[i * cols], i as f32 + 1.0, "row {i} lost or run twice");
+            assert_eq!(out[i * cols + 1], 1.0, "row {i} lost or run twice");
+        }
     }
 }

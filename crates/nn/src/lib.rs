@@ -36,8 +36,8 @@
 //! * [`ParamStore`] — named parameters with gradient accumulation and an
 //!   [`Adam`] optimizer;
 //! * [`serialize`] — a small self-describing text format for checkpoints
-//!   (the sanctioned offline crate set has no `serde_json`, so we keep our
-//!   own writer/reader).
+//!   (the offline crate set has no serialization framework, so we keep
+//!   our own writer/reader).
 //!
 //! Gradients are verified against central finite differences in the test
 //! suite for every operation.

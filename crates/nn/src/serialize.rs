@@ -1,7 +1,7 @@
 //! A small self-describing text checkpoint format.
 //!
-//! The sanctioned offline dependency set includes `serde` but no concrete
-//! format crate, so checkpoints use a simple line-oriented format:
+//! The offline dependency set has no serialization framework or format
+//! crate, so checkpoints use a simple line-oriented format:
 //!
 //! ```text
 //! nvc-nn-checkpoint v1

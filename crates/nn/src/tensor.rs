@@ -3,14 +3,12 @@
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
-use serde::{Deserialize, Serialize};
-
 use crate::kernels;
 
 /// A dense matrix of `f32` in row-major order.
 ///
 /// Vectors are represented as `1×n` or `n×1` matrices; scalars as `1×1`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     rows: usize,
     cols: usize,

@@ -31,12 +31,10 @@ pub mod fusion;
 pub mod interchange;
 pub mod tiling;
 
-use serde::{Deserialize, Serialize};
-
 use nvc_frontend::{parse_translation_unit, print_translation_unit, FrontendError};
 
 /// What the optimizer did to a unit.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PollyReport {
     /// Loop pairs interchanged.
     pub interchanged: usize,
@@ -54,7 +52,7 @@ impl PollyReport {
 }
 
 /// Options controlling the optimizer.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PollyConfig {
     /// Tile edge length (Polly's default is 32).
     pub tile_size: i64,

@@ -6,14 +6,12 @@
 //! baseline) and, for the continuous variants of Figure 6, Gaussian heads
 //! with a learned log standard deviation.
 
-use serde::{Deserialize, Serialize};
-
 use nvc_nn::{Graph, NodeId, ParamId, ParamStore, Tensor};
 
 use crate::spaces::{ActionDims, ActionSpaceKind};
 
 /// Architecture description for [`PolicyNet`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PolicyConfig {
     /// Observation width (the code-vector dimension).
     pub input_dim: usize,

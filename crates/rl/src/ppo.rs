@@ -11,7 +11,6 @@ use std::collections::HashMap;
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use nvc_embed::{CodeEmbedder, EmbedConfig, PathSample};
 use nvc_nn::{Adam, Graph, NodeId, ParamStore, Tensor, TensorArena};
@@ -39,7 +38,7 @@ pub trait BanditEnv {
 }
 
 /// PPO hyperparameters (defaults follow §4 of the paper and RLlib's PPO).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PpoConfig {
     /// Adam learning rate (paper default 5e-5; swept in Figure 5).
     pub lr: f32,
@@ -101,7 +100,7 @@ impl Default for PpoConfig {
 
 /// Statistics of one training iteration (the curves plotted in Figures
 /// 5–6).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IterStats {
     /// Environment steps taken so far (cumulative).
     pub steps: u64,

@@ -1,10 +1,8 @@
 //! Action-space parameterizations (Figure 6 of the paper).
 
-use serde::{Deserialize, Serialize};
-
 /// Sizes of the two discrete action dimensions: indices into the arrays of
 /// possible VFs and IFs (§3.3 eq. 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ActionDims {
     /// Number of VF choices (7 for `MAX_VF = 64`).
     pub n_vf: usize,
@@ -45,7 +43,7 @@ impl ActionDims {
 }
 
 /// The three action-space definitions compared in §4 / Figure 6.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ActionSpaceKind {
     /// Two categorical heads picking indices into the VF and IF arrays.
     /// "The results show that the discrete action space performs the

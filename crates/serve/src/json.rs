@@ -1,6 +1,6 @@
 //! A minimal JSON reader/writer for the serving protocol.
 //!
-//! The offline dependency set has no `serde_json`, and the protocol only
+//! The offline dependency set has no JSON crate, and the protocol only
 //! needs flat objects with strings, numbers, booleans and small arrays —
 //! this module implements exactly RFC 8259 value syntax (with `\uXXXX`
 //! escapes and surrogate pairs) and nothing more.

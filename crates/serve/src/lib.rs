@@ -20,7 +20,7 @@
 //!   (stdin/stdout daemon mode via [`run_daemon`]) plus the in-process
 //!   [`ServeHandle`] API;
 //! * [`json`] — the minimal JSON reader/writer the protocol uses (the
-//!   offline dependency set has no `serde_json`);
+//!   offline dependency set has no JSON crate);
 //! * [`lines`] — the one event-driven TCP line server ([`serve_lines`])
 //!   every network daemon of the stack (hub, registry) runs behind a
 //!   [`LineService`].
@@ -76,8 +76,6 @@ pub mod metrics;
 pub mod protocol;
 pub mod service;
 
-use serde::{Deserialize, Serialize};
-
 use nvc_embed::{EmbedConfig, PathSample};
 use nvc_machine::TargetConfig;
 
@@ -125,7 +123,7 @@ pub trait SharedDecisionStore: Send + Sync {
 }
 
 /// Tuning knobs for the service.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Total decision-cache capacity in entries (0 disables caching).
     pub cache_capacity: usize,

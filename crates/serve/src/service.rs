@@ -229,8 +229,7 @@ impl ServeHandle {
     /// Each worker's flush batches run the model's batched forward,
     /// whose matmuls may themselves shard rows across the process-wide
     /// persistent kernel worker pool (`NvConfig::matmul_threads`,
-    /// applied when the model is constructed; `NVC_MATMUL_POOL=0`
-    /// falls back to per-call scoped threads). The two thread layers
+    /// applied when the model is constructed). The two thread layers
     /// nest freely — concurrent workers' jobs queue on the shared pool
     /// and kernel shards are bitwise-identical at any count — so
     /// worker concurrency never changes a decision, only its latency.

@@ -10,8 +10,6 @@
 //! makes extreme `VF × IF` requests on large bodies blow through the 10×
 //! budget while a dot product never does.
 
-use serde::{Deserialize, Serialize};
-
 use nvc_ir::LoopIr;
 use nvc_machine::LoopShape;
 
@@ -31,7 +29,7 @@ pub fn compile_time_ms(shape: &LoopShape, _ir: &LoopIr) -> f64 {
 }
 
 /// Result of compiling against the 10× budget.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CompileOutcome {
     /// Compilation finished within the budget.
     Ok {

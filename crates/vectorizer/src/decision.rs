@@ -2,12 +2,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use nvc_machine::TargetConfig;
 
 /// A vectorization decision: the two factors the agent chooses (§3.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct VectorDecision {
     /// Vectorization factor (instructions packed together).
     pub vf: u32,
@@ -45,7 +43,7 @@ impl fmt::Display for VectorDecision {
 
 /// The discrete action space of the RL agent: the cross product of the
 /// target's VF and IF candidates (eq. 3 of the paper).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ActionSpace {
     /// VF choices, ascending powers of two.
     pub vfs: Vec<u32>,

@@ -47,8 +47,6 @@ pub mod decision;
 pub mod plan;
 pub mod table;
 
-use serde::{Deserialize, Serialize};
-
 use nvc_ir::LoopIr;
 use nvc_machine::{simulate_loop, LoopShape, LoopTiming, TargetConfig};
 
@@ -59,7 +57,7 @@ pub use plan::{build_shape, clamp_decision, emitted_uops};
 
 /// A fully "compiled" loop: the clamped decision, the emitted shape, its
 /// simulated timing, and the modelled compile time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompiledLoop {
     /// Decision after legality clamping (what actually ran).
     pub decision: VectorDecision,

@@ -10,9 +10,9 @@
 //! * **special-value identity** — NaN/±∞ payloads propagate exactly as
 //!   strict propagates them (same NaN-ness per element; non-finite
 //!   outputs bit-identical);
-//! * **driver identity** — the persistent pool and the scoped
-//!   `NVC_MATMUL_POOL=0` fallback run the identical fast shard list
-//!   (including `k`-split windows) and produce the same bits;
+//! * **driver identity** — the persistent pool's fast output (row
+//!   shards and `k`-split windows) is bitwise equal to the same shard
+//!   list run serially on the caller;
 //! * **decision equivalence** — serving the full fixed corpus (the
 //!   12-loop LLVM suite plus polybench- and mibench-lite) in fast mode
 //!   yields exactly the strict decisions.
@@ -224,37 +224,61 @@ fn policy_shape_k_split_is_eps_close_at_every_thread_count() {
     restore_defaults();
 }
 
-/// Fast mode under the persistent pool vs the scoped
-/// `NVC_MATMUL_POOL=0` fallback: both drivers execute the identical
-/// shard list — row shards *and* `k`-split windows — so their outputs
-/// must match bit for bit, not just ε-close.
+/// Fast mode on the persistent pool vs a serial oracle of the same
+/// shard list. Row shards reduce each output row independently, so the
+/// oracle is the single-threaded product. `k`-split windows are partial
+/// sums, so the oracle runs each window's slice of the product serially
+/// and combines the partials in ascending window order, as the split
+/// driver does. Both must match bit for bit, not just ε-close.
 #[test]
-fn fast_pool_and_scoped_drivers_are_bitwise_identical() {
+fn fast_pool_matches_the_serial_shard_oracle() {
     let _guard = lock_mode();
     kernels::set_matmul_grain(1);
-    kernels::set_matmul_threads(8);
     kernels::set_kernel_mode(KernelMode::Fast);
-    // (2, 340, 64): k-split engages (8 funded workers > 2 rows).
-    // (64, 40, 24): plain row sharding.
+    const THREADS: usize = 8;
+    let bits = |ts: &[Tensor]| -> Vec<u32> {
+        ts.iter()
+            .flat_map(|t| t.data().iter().map(|x| x.to_bits()))
+            .collect()
+    };
+    // (2, 340, 64): k-split engages (8 funded workers > 2 rows) on
+    // `matmul`; `matmul_tn`/`matmul_nt` row-shard. (64, 40, 24): plain
+    // row sharding throughout.
     for &(m, k, n) in &[(2usize, 340usize, 64usize), (64, 40, 24)] {
         let a = wild_tensor(m, k, 99);
         let b = wild_tensor(k, n, 98);
         let at = wild_tensor(k, m, 97);
         let w = wild_tensor(n, k, 96);
-        let run = |pool: bool| {
-            kernels::set_matmul_pool(pool);
-            [a.matmul(&b), at.matmul_tn(&b), a.matmul_nt(&w)]
-                .iter()
-                .flat_map(|t| t.data().iter().map(|x| x.to_bits()))
-                .collect::<Vec<u32>>()
+        kernels::set_matmul_threads(THREADS);
+        let pooled = bits(&[a.matmul(&b), at.matmul_tn(&b), a.matmul_nt(&w)]);
+
+        kernels::set_matmul_threads(1);
+        let mm = if THREADS > m {
+            let per = k.div_ceil(THREADS.min(k));
+            let mut out = Tensor::zeros(m, n);
+            for k0 in (0..k).step_by(per) {
+                let k1 = (k0 + per).min(k);
+                let a_win = Tensor::from_vec(
+                    m,
+                    k1 - k0,
+                    (0..m).flat_map(|i| a.row(i)[k0..k1].to_vec()).collect(),
+                );
+                let b_win = Tensor::from_vec(k1 - k0, n, b.data()[k0 * n..k1 * n].to_vec());
+                let partial = a_win.matmul(&b_win);
+                for (o, &p) in out.data_mut().iter_mut().zip(partial.data()) {
+                    *o += p;
+                }
+            }
+            out
+        } else {
+            a.matmul(&b)
         };
+        let serial = bits(&[mm, at.matmul_tn(&b), a.matmul_nt(&w)]);
         assert_eq!(
-            run(true),
-            run(false),
-            "pool and scoped drivers diverged in fast mode [m={m} k={k} n={n}]"
+            pooled, serial,
+            "pool diverged from the serial shard oracle in fast mode [m={m} k={k} n={n}]"
         );
     }
-    kernels::set_matmul_pool(std::env::var("NVC_MATMUL_POOL").map_or(true, |v| v.trim() != "0"));
     restore_defaults();
 }
 

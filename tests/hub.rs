@@ -415,6 +415,13 @@ fn pathologically_nested_requests_fail_cleanly_and_the_hub_keeps_answering() {
         assert_eq!(pong.get("ok").and_then(Json::as_bool), Some(true));
         assert_eq!(pong.get("id").and_then(Json::as_str), Some("after"));
     }
+    // Every refused line is counted; the pings between them are not.
+    let stats = handle(&hub, r#"{"op":"stats"}"#);
+    let errors = stats
+        .get("stats")
+        .and_then(|s| s.get("request_errors"))
+        .and_then(Json::as_f64);
+    assert_eq!(errors, Some(lines.len() as f64));
 }
 
 #[test]
